@@ -87,8 +87,9 @@ bench:
 
 # bench-baseline measures the trajectory workloads (closed-world suite
 # plus the openworld/<bench>/{oracle,blended,specs} records) into
-# BENCH_SNAPSHOT; bench-compare warns on regressions against the file's
-# baseline section.
+# BENCH_SNAPSHOT; bench-compare checks it against the file's baseline
+# section: it fails on any deterministic counter mismatch and warns on
+# wall-clock regressions.
 BENCH_SNAPSHOT ?= BENCH_10.json
 
 .PHONY: bench-baseline

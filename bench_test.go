@@ -17,6 +17,7 @@ import (
 	"dynsum/internal/core"
 	"dynsum/internal/fixture"
 	"dynsum/internal/harness"
+	"dynsum/internal/intstack"
 	"dynsum/internal/refine"
 	"dynsum/internal/stasum"
 )
@@ -125,8 +126,9 @@ func BenchmarkAblationCache(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var edges int64
 			for i := 0; i < b.N; i++ {
-				d := core.NewDynSum(prog.G, core.Config{}, nil)
-				d.DisableCache = disabled
+				dCfg := core.Config{}
+				dCfg.DisableCache = disabled
+				d := core.NewDynSum(prog.G, dCfg, nil)
 				clients.NullDeref(prog, d)
 				edges = d.Metrics().EdgesTraversed
 			}
@@ -193,7 +195,7 @@ func BenchmarkBatchPointsTo(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := core.NewDynSum(prog.G, core.Config{}, nil)
 			for _, q := range queries {
-				d.PointsToCtx(q.Var, q.Ctx) //nolint:errcheck
+				d.Query(nil, core.NewPointsToSet(), q.Var, q.Ctx) //nolint:errcheck
 			}
 		}
 	})
@@ -201,7 +203,7 @@ func BenchmarkBatchPointsTo(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := core.NewDynSum(prog.G, core.Config{}, nil)
-				d.BatchPointsTo(queries, workers)
+				d.BatchPointsTo(nil, queries, workers)
 			}
 		})
 	}
@@ -230,19 +232,18 @@ func BenchmarkPPTAQuery(b *testing.B) {
 // allocation-regression test.
 func BenchmarkPPTAQueryInto(b *testing.B) {
 	f := fixture.BuildFigure2()
-	f.Prog.G.Freeze()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	dst := core.NewPointsToSet()
-	if err := d.PointsToInto(dst, f.S1); err != nil {
+	if err := d.Query(nil, dst, f.S1, intstack.Empty); err != nil {
 		b.Fatal(err)
 	}
-	if err := d.PointsToInto(dst, f.S2); err != nil {
+	if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.PointsToInto(dst, f.S2); err != nil {
+		if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,8 +47,8 @@ func realMain() int {
 		evolve       = flag.Bool("evolve", false, "run the dynamic-evolution experiment (delta overlay vs rebuild-from-scratch)")
 		openWorld    = flag.Bool("openworld", false, "run the open-world evaluation (blended summaries and specs vs the full-body oracle)")
 		benchJSON    = flag.String("bench-json", "", "measure the benchmark-trajectory workloads and write the snapshot to this JSON file (an existing baseline section in the file is preserved)")
-		benchCompare = flag.String("bench-compare", "", "compare a snapshot file's current section against its baseline and warn on regressions")
-		tolerance    = flag.Float64("tolerance", 0.2, "regression tolerance ratio for -bench-compare (0.2 = 20%)")
+		benchCompare = flag.String("bench-compare", "", "compare a snapshot file's current section against its baseline: fail on any deterministic counter mismatch, warn on wall-clock regressions")
+		tolerance    = flag.Float64("tolerance", 0.2, "wall-clock warning tolerance ratio for -bench-compare (0.2 = 20%)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
 		memProfile   = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 	)
@@ -102,8 +102,8 @@ func realMain() int {
 		return 0
 	}
 	if *benchCompare != "" {
-		// Warnings are advisory (wall clock varies by machine); the exit
-		// code stays zero so CI surfaces rather than blocks.
+		// Wall-clock warnings are advisory (they vary by machine); a
+		// deterministic counter mismatch is an error and fails the run.
 		if _, err := harness.CompareBenchFile(os.Stdout, *benchCompare, *tolerance); err != nil {
 			return fail(err)
 		}

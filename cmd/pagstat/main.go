@@ -27,8 +27,8 @@ import (
 	"dynsum/internal/check"
 	"dynsum/internal/clients"
 	"dynsum/internal/core"
-	"dynsum/internal/delta"
 	"dynsum/internal/harness"
+	"dynsum/internal/intstack"
 	"dynsum/internal/mj"
 	"dynsum/internal/openworld"
 	"dynsum/internal/pag"
@@ -119,7 +119,7 @@ func validateProgram(prog *pag.Program) {
 		prog.G.Freeze()
 		report("graph (frozen)", check.Graph(prog.G))
 	}
-	report("condensation", check.Condensation(prog.G, prog.G.Condensation()))
+	report("condensation", check.Condensation(prog.G, prog.G.Condensation().View()))
 	if fail {
 		os.Exit(1)
 	}
@@ -209,13 +209,10 @@ func evolveStats(scale float64, seed int64) {
 				invalidated += res.InvalidatedSummaries
 			}
 			for _, q := range ev.DerefsThrough(k) {
-				d.PointsToInto(dst, q.Var)
+				d.Query(nil, dst, q.Var, intstack.Empty)
 			}
 		}
-		var s delta.Stats
-		if ov := d.Overlay(); ov != nil {
-			s = ov.Stats()
-		}
+		s := d.Overlay().Stats()
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f\t%d\t%d\t%d\t%d\n",
 			ev.Name, ev.NumWaves(), s.Epochs, s.AddedMethods, s.PatchedMethods, s.PatchedNodes,
 			s.OverlayEdges, 100*s.OverlayFraction(), s.DissolvedSCCs, s.RebuiltReps,

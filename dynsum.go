@@ -20,12 +20,14 @@
 // The DYNSUM engine is safe for concurrent queries; BatchPointsTo fans a
 // query batch out over a worker pool sharing one summary cache:
 //
-//	results := dynsum.BatchPointsTo(engine, vars, 4)
+//	results := dynsum.BatchPointsTo(ctx, engine, vars, 4)
 //
-// Graphs produced by the frontend, the benchmark generator and the PAG
-// decoder are frozen into an immutable CSR layout; on that layout a
-// warm-cache query through engine.PointsToInto (reusing a caller-owned
-// result set) performs zero heap allocations.
+// Engines read only frozen graphs: the frontend, the benchmark generator,
+// the PAG decoder and Builder.Finish all freeze into an immutable CSR
+// layout, and a program keeps evolving through DeltaLog/ApplyDelta. Every
+// query enters through engine.Query(ctx, dst, v, cc) — PointsTo is its
+// allocating shorthand — and a warm-cache Query reusing a caller-owned
+// result set performs zero heap allocations.
 package dynsum
 
 import (
@@ -206,11 +208,12 @@ const DefaultBudget = core.DefaultBudget
 func NewBuilder() *Builder { return pag.NewBuilder() }
 
 // NewPointsToSet returns an empty points-to set, for reuse across queries
-// through the engine's allocation-free PointsToInto path.
+// through the engine's allocation-free Query path.
 func NewPointsToSet() *PointsToSet { return core.NewPointsToSet() }
 
 // NewDynSum builds the paper's engine: demand-driven points-to analysis
 // with dynamic, context-independent PPTA summaries (Algorithms 3 and 4).
+// g must be frozen; all four engine constructors panic otherwise.
 func NewDynSum(g *Graph, cfg Config) *core.DynSum { return core.NewDynSum(g, cfg, nil) }
 
 // NewNoRefine builds the NOREFINE baseline: fully field-sensitive
@@ -241,7 +244,7 @@ func SavePAG(w io.Writer, p *Program) error { return pag.Encode(w, p) }
 // program, for the dynamic scenario the paper is named for: code arriving
 // while the analysis is live (class loading, JIT recompilation, an IDE
 // session). Fill the log with its AddMethod/AddNode/AddEdge/RedefineMethod
-// methods and hand it to ApplyDelta. The engine's graph must be frozen.
+// methods and hand it to ApplyDelta.
 func NewDeltaLog(engine *core.DynSum) (*DeltaLog, error) { return engine.NewDeltaLog() }
 
 // ApplyDelta applies one epoch of recorded program changes to a quiesced
@@ -295,26 +298,17 @@ func OpenStore(dir string, opts StoreOptions) (*PersistentStore, error) {
 // positionally aligned with vars; every query that completes returns the
 // serial PointsTo answer, while conservative budget failures may differ
 // from a serial run near the budget boundary (cache warming is
-// schedule-dependent). For per-query calling contexts, build []Query
-// directly and call engine.BatchPointsTo.
-func BatchPointsTo(engine *core.DynSum, vars []NodeID, workers int) []Result {
+// schedule-dependent). ctx may be nil; once it is done, in-flight queries
+// abort cooperatively with ErrCanceled and the remaining slots are filled
+// without traversal, so the call returns promptly with no goroutine
+// leaked. For per-query calling contexts, build []Query directly and call
+// engine.BatchPointsTo.
+func BatchPointsTo(ctx context.Context, engine *core.DynSum, vars []NodeID, workers int) []Result {
 	queries := make([]Query, len(vars))
 	for i, v := range vars {
 		queries[i] = Query{Var: v, Ctx: intstack.Empty}
 	}
-	return engine.BatchPointsTo(queries, workers)
-}
-
-// BatchPointsToCtx is BatchPointsTo governed by a context: once ctx is
-// done, in-flight queries abort cooperatively with ErrCanceled and the
-// remaining slots are filled without traversal, so the call returns
-// promptly, positionally aligned and with no goroutine leaked.
-func BatchPointsToCtx(ctx context.Context, engine *core.DynSum, vars []NodeID, workers int) []Result {
-	queries := make([]Query, len(vars))
-	for i, v := range vars {
-		queries[i] = Query{Var: v, Ctx: intstack.Empty}
-	}
-	return engine.BatchPointsToCtx(ctx, queries, workers)
+	return engine.BatchPointsTo(ctx, queries, workers)
 }
 
 // RunClient runs one of the paper's clients ("SafeCast", "NullDeref",

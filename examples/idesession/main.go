@@ -2,7 +2,9 @@
 // issuing many queries against a program that keeps changing. The engine
 // persists its summary cache across queries; when a method is edited, only
 // that method's summaries are invalidated and the next queries rebuild
-// just the lost part.
+// just the lost part. The edit arrives the way every program change does:
+// as a delta epoch (RedefineMethod plus the new body) applied to the
+// frozen graph the engine reads.
 //
 //	go run ./examples/idesession
 package main
@@ -57,8 +59,35 @@ func main() {
 			victim = pag.MethodID(m)
 		}
 	}
-	dropped := engine.InvalidateMethod(victim)
-	fmt.Printf("\nedit %s: %d summaries invalidated\n\n", g.MethodInfo(victim).Name, dropped)
+	// The new body: the old statements plus one fresh allocation.
+	log, err := engine.NewDeltaLog()
+	if err != nil {
+		panic(err)
+	}
+	log.RedefineMethod(victim)
+	var target pag.NodeID = pag.NoNode
+	for n := 0; n < g.NumNodes(); n++ {
+		id := pag.NodeID(n)
+		if nd := g.Node(id); nd.Method == victim {
+			if nd.Kind == pag.Local && target == pag.NoNode {
+				target = id
+			}
+			for _, e := range g.Out(id) {
+				if e.Kind.IsLocal() {
+					log.AddEdge(e)
+				}
+			}
+		}
+	}
+	if target != pag.NoNode {
+		obj := log.AddNode(pag.Object, victim, g.Node(target).Class, "edit.o")
+		log.AddEdge(pag.Edge{Src: obj, Dst: target, Kind: pag.New, Label: pag.NoLabel})
+	}
+	res, err := engine.ApplyDelta(log)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("\nedit %s: %d summaries invalidated\n\n", g.MethodInfo(victim).Name, res.InvalidatedSummaries)
 
 	session("after edit:")
 	session("warm again:")

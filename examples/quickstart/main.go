@@ -40,8 +40,10 @@ func main() {
 	b.Call(main, id, "main:1", []pag.NodeID{a}, []pag.NodeID{p}, ret, x)
 	b.Call(main, id, "main:2", []pag.NodeID{bb}, []pag.NodeID{p}, ret, y)
 
-	g := b.G
-	if err := g.Validate(); err != nil {
+	// Finish validates the graph and freezes it into the immutable CSR
+	// layout the engines read; later changes arrive as delta epochs.
+	g, err := b.Finish()
+	if err != nil {
 		panic(err)
 	}
 

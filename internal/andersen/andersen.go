@@ -267,9 +267,10 @@ func (s *solver) process(c cell) {
 		}
 	}
 	// A store edge where n is the BASE (incoming store): new objects of n
-	// open new slots for the stored value. Stores are local edges, so only
-	// the local in-partition is scanned.
-	for _, e := range s.g.LocalIn(n) {
+	// open new slots for the stored value. The solver runs during
+	// construction on builder-form graphs, so it reads the unpartitioned
+	// In span.
+	for _, e := range s.g.In(n) {
 		if e.Kind != pag.Store {
 			continue
 		}

@@ -22,42 +22,32 @@ import (
 // library code; application methods hold the query sites and keep their
 // bodies — picked deterministically from the workload seed.
 
-// OWProfile names one open-world workload: a Table 3 base row, the fraction
-// of eligible library methods to strip, and the deletion strategy.
+// OWProfile names one open-world workload: a Table 3 base row and the
+// fraction of its library methods to strip. Deletion takes whole methods
+// from every library layer — setters and getters, wrappers and interior
+// call-chain methods alike — so both spec-expressible flows and
+// blended-blob fallbacks are exercised.
 type OWProfile struct {
 	Base string
 	// Fraction of eligible library methods to delete (0 < f <= 1); at
 	// least one method is always deleted.
 	Fraction float64
-	// LeafBias restricts deletion to leaf-ish library methods (at most two
-	// local edges: the setter/getter/identity layer). Leaf deletion models
-	// opaque natives at the bottom of the stack — most of their flows are
-	// spec-expressible, so specs recover near-oracle precision. Whole-method
-	// deletion (LeafBias false) also hits wrapper layers and interior
-	// call-chain methods, where blended blobs must do the work.
-	LeafBias bool
 }
 
-// Name returns the workload's benchmark name, e.g. "avrora-ow25" or
-// "avrora-owleaf25".
+// Name returns the workload's benchmark name, e.g. "avrora-ow25".
 func (p OWProfile) Name() string {
-	kind := "ow"
-	if p.LeafBias {
-		kind = "owleaf"
-	}
-	return fmt.Sprintf("%s-%s%d", p.Base, kind, int(p.Fraction*100+0.5))
+	return fmt.Sprintf("%s-ow%d", p.Base, int(p.Fraction*100+0.5))
 }
 
-// OpenWorldProfiles lists the open-world sweep: two base rows, whole-method
-// and leaf-biased deletion, at growing deletion fractions.
+// OpenWorldProfiles lists the open-world sweep: two base rows at growing
+// deletion fractions.
 var OpenWorldProfiles = makeOpenWorldProfiles()
 
 func makeOpenWorldProfiles() []OWProfile {
 	var out []OWProfile
 	for _, base := range []string{"avrora", "luindex"} {
 		for _, frac := range []float64{0.10, 0.25, 0.50} {
-			out = append(out, OWProfile{Base: base, Fraction: frac, LeafBias: false})
-			out = append(out, OWProfile{Base: base, Fraction: frac, LeafBias: true})
+			out = append(out, OWProfile{Base: base, Fraction: frac})
 		}
 	}
 	return out
@@ -121,28 +111,15 @@ func GenerateOpenWorld(ow OWProfile, scale float64, seed int64) (*OpenWorldBench
 	return &OpenWorldBench{Oracle: oracle, Stripped: stripped, Deleted: deleted, Specs: specs}, nil
 }
 
-// pickDeletions selects the methods to strip: lib.* methods (leaf-ish only
-// under LeafBias), a deterministic sample of the requested fraction.
+// pickDeletions selects the methods to strip: a deterministic sample of
+// the requested fraction of the lib.* methods.
 func pickDeletions(g *pag.Graph, ow OWProfile, seed int64) []pag.MethodID {
-	localEdges := make([]int, g.NumMethods())
-	for n := 0; n < g.NumNodes(); n++ {
-		id := pag.NodeID(n)
-		m := g.Node(id).Method
-		if m == pag.NoMethod {
-			continue
-		}
-		localEdges[m] += len(g.LocalOut(id))
-	}
 	var eligible []pag.MethodID
 	for m := 0; m < g.NumMethods(); m++ {
 		id := pag.MethodID(m)
-		if !strings.HasPrefix(g.MethodInfo(id).Name, "lib.") {
-			continue
+		if strings.HasPrefix(g.MethodInfo(id).Name, "lib.") {
+			eligible = append(eligible, id)
 		}
-		if ow.LeafBias && localEdges[m] > 2 {
-			continue
-		}
-		eligible = append(eligible, id)
 	}
 	if len(eligible) == 0 {
 		return nil

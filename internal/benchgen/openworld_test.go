@@ -8,8 +8,8 @@ import (
 )
 
 func TestOpenWorldProfileNames(t *testing.T) {
-	if len(OpenWorldProfiles) != 12 {
-		t.Fatalf("got %d open-world profiles, want 12", len(OpenWorldProfiles))
+	if len(OpenWorldProfiles) != 6 {
+		t.Fatalf("got %d open-world profiles, want 6", len(OpenWorldProfiles))
 	}
 	seen := map[string]bool{}
 	for _, p := range OpenWorldProfiles {
@@ -23,13 +23,13 @@ func TestOpenWorldProfileNames(t *testing.T) {
 			t.Fatalf("round trip of %s failed: %+v %v", n, got, ok)
 		}
 	}
-	if !seen["avrora-ow25"] || !seen["luindex-owleaf50"] {
+	if !seen["avrora-ow25"] || !seen["luindex-ow50"] {
 		t.Fatalf("expected names missing: %v", seen)
 	}
 }
 
 func TestGenerateOpenWorldDeterministic(t *testing.T) {
-	ow, _ := OpenWorldProfileByName("avrora-owleaf25")
+	ow, _ := OpenWorldProfileByName("avrora-ow25")
 	a, err := GenerateOpenWorld(ow, 0.01, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -84,25 +84,27 @@ func TestGenerateOpenWorldShape(t *testing.T) {
 	}
 }
 
-func TestGenerateOpenWorldLeafBias(t *testing.T) {
-	ow, _ := OpenWorldProfileByName("avrora-owleaf50")
-	bench, err := GenerateOpenWorld(ow, 0.01, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := bench.Oracle.G
-	for _, m := range bench.Deleted {
-		n := 0
-		for nd := 0; nd < g.NumNodes(); nd++ {
-			id := pag.NodeID(nd)
-			if g.Node(id).Method != m {
-				continue
+// TestOpenWorldProfilesDeleteDistinctSets guards the sweep against
+// aliased workloads: every profile must strip a deletion set no other
+// profile strips, or two benchmark rows would measure the same program
+// under different names.
+func TestOpenWorldProfilesDeleteDistinctSets(t *testing.T) {
+	for _, scale := range []float64{0.005, 0.02} {
+		seen := map[string]string{}
+		for _, ow := range OpenWorldProfiles {
+			bench, err := GenerateOpenWorld(ow, scale, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			n += len(g.LocalOut(id))
-		}
-		if n > 2 {
-			t.Errorf("leaf-biased deletion picked %s with %d local edges",
-				g.MethodInfo(m).Name, n)
+			var names []string
+			for _, m := range bench.Deleted {
+				names = append(names, bench.Oracle.G.MethodInfo(m).Name)
+			}
+			key := ow.Base + ":" + strings.Join(names, ",")
+			if prev, dup := seen[key]; dup {
+				t.Errorf("scale %g: %s deletes the same methods as %s", scale, ow.Name(), prev)
+			}
+			seen[key] = ow.Name()
 		}
 	}
 }

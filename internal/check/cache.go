@@ -6,7 +6,7 @@ import (
 
 // Cache validates the engine-side summary cache and intern table of d:
 // every live entry must be reachable from the per-method key index (the
-// property InvalidateMethod's O(method) walk depends on), cache keys must
+// property per-method invalidation's O(method) walk depends on), cache keys must
 // name nodes inside the current view, and every interned slice must still
 // hash to the table key it is filed under. The invariants live on
 // unexported core structures, so the walk itself is core.DynSum's

@@ -71,7 +71,7 @@ func TestGraphHealthy(t *testing.T) {
 
 	// Frozen form, across random seeds and the hand fixture.
 	for seed := int64(1); seed <= 5; seed++ {
-		p := fixture.RandProgram(seed, fixture.RandConfig{Globals: 2, GlobalAssigns: 4})
+		p := fixture.RandProgramMutable(seed, fixture.RandConfig{Globals: 2, GlobalAssigns: 4})
 		if err := p.G.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -82,7 +82,7 @@ func TestGraphHealthy(t *testing.T) {
 		if err := check.Graph(p.G); err != nil {
 			t.Errorf("seed %d frozen form flagged: %v", seed, err)
 		}
-		if err := check.Condensation(p.G, p.G.Condensation()); err != nil {
+		if err := check.Condensation(p.G, p.G.Condensation().View()); err != nil {
 			t.Errorf("seed %d condensation flagged: %v", seed, err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestGraphHealthy(t *testing.T) {
 	if err := check.Graph(fx.g); err != nil {
 		t.Errorf("cyclic fixture flagged: %v", err)
 	}
-	if err := check.Condensation(fx.g, fx.g.Condensation()); err != nil {
+	if err := check.Condensation(fx.g, fx.g.Condensation().View()); err != nil {
 		t.Errorf("cyclic condensation flagged: %v", err)
 	}
 }
@@ -289,47 +289,47 @@ func TestGraphCorruptions(t *testing.T) {
 	}
 }
 
-// condWrap overrides individual CondView accessors.
-type condWrap struct {
-	check.CondView
+// viewWrap overrides individual View accessors.
+type viewWrap struct {
+	check.View
 	rep      func(pag.NodeID) pag.NodeID
 	localOut func(pag.NodeID) []pag.Edge
 	gOut     func(pag.NodeID) []pag.Edge
 	hasGIn   func(pag.NodeID) bool
 }
 
-func (w *condWrap) Rep(n pag.NodeID) pag.NodeID {
+func (w *viewWrap) Rep(n pag.NodeID) pag.NodeID {
 	if w.rep != nil {
 		return w.rep(n)
 	}
-	return w.CondView.Rep(n)
+	return w.View.Rep(n)
 }
 
-func (w *condWrap) LocalOut(n pag.NodeID) []pag.Edge {
+func (w *viewWrap) LocalOut(n pag.NodeID) []pag.Edge {
 	if w.localOut != nil {
 		return w.localOut(n)
 	}
-	return w.CondView.LocalOut(n)
+	return w.View.LocalOut(n)
 }
 
-func (w *condWrap) GlobalOut(n pag.NodeID) []pag.Edge {
+func (w *viewWrap) GlobalOut(n pag.NodeID) []pag.Edge {
 	if w.gOut != nil {
 		return w.gOut(n)
 	}
-	return w.CondView.GlobalOut(n)
+	return w.View.GlobalOut(n)
 }
 
-func (w *condWrap) HasGlobalIn(n pag.NodeID) bool {
+func (w *viewWrap) HasGlobalIn(n pag.NodeID) bool {
 	if w.hasGIn != nil {
 		return w.hasGIn(n)
 	}
-	return w.CondView.HasGlobalIn(n)
+	return w.View.HasGlobalIn(n)
 }
 
 func TestCondensationCorruptions(t *testing.T) {
 	fx := buildCyclic(t)
 	g := fx.g
-	c := g.Condensation()
+	c := g.Condensation().View()
 	rep := c.Rep(fx.v1)
 	if rep != fx.v0 || c.Rep(fx.v2) != fx.v0 {
 		t.Fatalf("unexpected SCC shape: rep(v1)=%d rep(v2)=%d", rep, c.Rep(fx.v2))
@@ -337,13 +337,13 @@ func TestCondensationCorruptions(t *testing.T) {
 
 	cases := []struct {
 		name string
-		wrap func() check.CondView
+		wrap func() check.View
 		want string
 	}{
 		{
 			name: "rep not idempotent",
-			wrap: func() check.CondView {
-				return &condWrap{CondView: c, rep: func(n pag.NodeID) pag.NodeID {
+			wrap: func() check.View {
+				return &viewWrap{View: c, rep: func(n pag.NodeID) pag.NodeID {
 					if n == fx.v2 {
 						return fx.v1
 					}
@@ -354,8 +354,8 @@ func TestCondensationCorruptions(t *testing.T) {
 		},
 		{
 			name: "rep not smallest member",
-			wrap: func() check.CondView {
-				return &condWrap{CondView: c, rep: func(n pag.NodeID) pag.NodeID {
+			wrap: func() check.View {
+				return &viewWrap{View: c, rep: func(n pag.NodeID) pag.NodeID {
 					r := c.Rep(n)
 					if r == fx.v0 {
 						return fx.v2
@@ -367,8 +367,8 @@ func TestCondensationCorruptions(t *testing.T) {
 		},
 		{
 			name: "SCC crossing methods",
-			wrap: func() check.CondView {
-				return &condWrap{CondView: c, rep: func(n pag.NodeID) pag.NodeID {
+			wrap: func() check.View {
+				return &viewWrap{View: c, rep: func(n pag.NodeID) pag.NodeID {
 					if n == fx.w0 {
 						return fx.v0
 					}
@@ -379,8 +379,8 @@ func TestCondensationCorruptions(t *testing.T) {
 		},
 		{
 			name: "non-representative with spans",
-			wrap: func() check.CondView {
-				return &condWrap{CondView: c, localOut: func(n pag.NodeID) []pag.Edge {
+			wrap: func() check.View {
+				return &viewWrap{View: c, localOut: func(n pag.NodeID) []pag.Edge {
 					if n == fx.v1 {
 						return c.LocalOut(fx.v0)
 					}
@@ -391,8 +391,8 @@ func TestCondensationCorruptions(t *testing.T) {
 		},
 		{
 			name: "condensed span loses an edge",
-			wrap: func() check.CondView {
-				return &condWrap{CondView: c, gOut: func(n pag.NodeID) []pag.Edge {
+			wrap: func() check.View {
+				return &viewWrap{View: c, gOut: func(n pag.NodeID) []pag.Edge {
 					if n == fx.v0 {
 						return nil
 					}
@@ -403,9 +403,9 @@ func TestCondensationCorruptions(t *testing.T) {
 		},
 		{
 			name: "retained assign self-loop",
-			wrap: func() check.CondView {
+			wrap: func() check.View {
 				loop := pag.Edge{Src: fx.v0, Dst: fx.v0, Kind: pag.Assign, Label: pag.NoLabel}
-				return &condWrap{CondView: c, localOut: func(n pag.NodeID) []pag.Edge {
+				return &viewWrap{View: c, localOut: func(n pag.NodeID) []pag.Edge {
 					if n == fx.v0 {
 						return append(append([]pag.Edge(nil), c.LocalOut(n)...), loop)
 					}
@@ -416,8 +416,8 @@ func TestCondensationCorruptions(t *testing.T) {
 		},
 		{
 			name: "flag disagrees with member aggregate",
-			wrap: func() check.CondView {
-				return &condWrap{CondView: c, hasGIn: func(n pag.NodeID) bool {
+			wrap: func() check.View {
+				return &viewWrap{View: c, hasGIn: func(n pag.NodeID) bool {
 					if c.Rep(n) != n {
 						return c.HasGlobalIn(n)
 					}
@@ -450,7 +450,6 @@ func TestFingerprint(t *testing.T) {
 		t.Fatalf("fingerprint unstable: %#x vs %#x", fp, again)
 	}
 	other := fixture.RandProgram(3, fixture.RandConfig{})
-	other.G.Freeze()
 	if check.Fingerprint(other.G) == fp {
 		t.Fatal("distinct graphs collided (astronomically unlikely on healthy hashing)")
 	}
@@ -479,47 +478,19 @@ func buildOverlay(t *testing.T, fx *cyclicFixture) *delta.Overlay {
 	return ov
 }
 
-// overlayWrap overrides individual OverlayView accessors.
-type overlayWrap struct {
-	check.OverlayView
-	rep      func(pag.NodeID) pag.NodeID
-	localOut func(pag.NodeID, bool) []pag.Edge
-	hasGIn   func(pag.NodeID, bool) bool
-}
-
-func (w *overlayWrap) Rep(n pag.NodeID) pag.NodeID {
-	if w.rep != nil {
-		return w.rep(n)
-	}
-	return w.OverlayView.Rep(n)
-}
-
-func (w *overlayWrap) LocalOut(n pag.NodeID, condensed bool) []pag.Edge {
-	if w.localOut != nil {
-		return w.localOut(n, condensed)
-	}
-	return w.OverlayView.LocalOut(n, condensed)
-}
-
-func (w *overlayWrap) HasGlobalIn(n pag.NodeID, condensed bool) bool {
-	if w.hasGIn != nil {
-		return w.hasGIn(n, condensed)
-	}
-	return w.OverlayView.HasGlobalIn(n, condensed)
-}
-
 func TestOverlayHealthy(t *testing.T) {
 	fx := buildCyclic(t)
 	fp := check.Fingerprint(fx.g)
 	ov := buildOverlay(t, fx)
-	if err := check.Overlay(ov, fx.g, fp); err != nil {
+	if err := check.Overlay(ov, ov.BaseView(), ov.CondView(), fx.g, fp); err != nil {
 		t.Errorf("healthy overlay flagged: %v", err)
 	}
 	// The redefinition dissolved the assign cycle: every member must be
 	// its own representative again.
+	cv := ov.CondView()
 	for _, n := range []pag.NodeID{fx.v0, fx.v1, fx.v2} {
-		if ov.Rep(n) != n {
-			t.Errorf("Rep(%d) = %d after dissolution", n, ov.Rep(n))
+		if cv.Rep(n) != n {
+			t.Errorf("Rep(%d) = %d after dissolution", n, cv.Rep(n))
 		}
 	}
 }
@@ -528,46 +499,47 @@ func TestOverlayCorruptions(t *testing.T) {
 	fx := buildCyclic(t)
 	fp := check.Fingerprint(fx.g)
 	ov := buildOverlay(t, fx)
+	base, cond := ov.BaseView(), ov.CondView()
 
 	cases := []struct {
 		name string
 		fp   uint64
-		wrap func() check.OverlayView
+		wrap func() (base, cond check.View)
 		want string
 	}{
 		{
 			name: "base arrays written",
 			fp:   fp + 1, // simulates a mutated base: the stored fingerprint no longer matches
-			wrap: func() check.OverlayView { return ov },
+			wrap: func() (check.View, check.View) { return base, cond },
 			want: "fingerprint changed",
 		},
 		{
 			name: "base span partition broken",
 			fp:   fp,
-			wrap: func() check.OverlayView {
-				return &overlayWrap{OverlayView: ov, localOut: func(n pag.NodeID, condensed bool) []pag.Edge {
-					if !condensed && n == fx.v2 {
-						return append(append([]pag.Edge(nil), ov.LocalOut(n, false)...), ov.GlobalIn(fx.v2, false)...)
+			wrap: func() (check.View, check.View) {
+				return &viewWrap{View: base, localOut: func(n pag.NodeID) []pag.Edge {
+					if n == fx.v2 {
+						return append(append([]pag.Edge(nil), base.LocalOut(n)...), base.GlobalIn(fx.v2)...)
 					}
-					return ov.LocalOut(n, condensed)
-				}}
+					return base.LocalOut(n)
+				}}, cond
 			},
 			want: "partition broken",
 		},
 		{
 			name: "rep not idempotent",
 			fp:   fp,
-			wrap: func() check.OverlayView {
+			wrap: func() (check.View, check.View) {
 				// v1 and v2 point at each other: idempotency and the
 				// smallest-member rule both break.
-				return &overlayWrap{OverlayView: ov, rep: func(n pag.NodeID) pag.NodeID {
+				return base, &viewWrap{View: cond, rep: func(n pag.NodeID) pag.NodeID {
 					switch n {
 					case fx.v1:
 						return fx.v2
 					case fx.v2:
 						return fx.v1
 					}
-					return ov.Rep(n)
+					return cond.Rep(n)
 				}}
 			},
 			want: "idempotent",
@@ -575,12 +547,12 @@ func TestOverlayCorruptions(t *testing.T) {
 		{
 			name: "condensed span out of repair",
 			fp:   fp,
-			wrap: func() check.OverlayView {
-				return &overlayWrap{OverlayView: ov, localOut: func(n pag.NodeID, condensed bool) []pag.Edge {
-					if condensed && n == fx.v0 {
+			wrap: func() (check.View, check.View) {
+				return base, &viewWrap{View: cond, localOut: func(n pag.NodeID) []pag.Edge {
+					if n == fx.v0 {
 						return nil
 					}
-					return ov.LocalOut(n, condensed)
+					return cond.LocalOut(n)
 				}}
 			},
 			want: "diverges from member union",
@@ -588,20 +560,21 @@ func TestOverlayCorruptions(t *testing.T) {
 		{
 			name: "base flag disagrees",
 			fp:   fp,
-			wrap: func() check.OverlayView {
-				return &overlayWrap{OverlayView: ov, hasGIn: func(n pag.NodeID, condensed bool) bool {
-					if !condensed && n == fx.w0 {
-						return !ov.HasGlobalIn(n, false)
+			wrap: func() (check.View, check.View) {
+				return &viewWrap{View: base, hasGIn: func(n pag.NodeID) bool {
+					if n == fx.w0 {
+						return !base.HasGlobalIn(n)
 					}
-					return ov.HasGlobalIn(n, condensed)
-				}}
+					return base.HasGlobalIn(n)
+				}}, cond
 			},
 			want: "HasGlobalIn(base)",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := check.Overlay(tc.wrap(), fx.g, tc.fp)
+			bv, cv := tc.wrap()
+			err := check.Overlay(ov, bv, cv, fx.g, tc.fp)
 			if err == nil {
 				t.Fatal("corruption not detected")
 			}
@@ -616,7 +589,6 @@ func TestOverlayTrivialDivergence(t *testing.T) {
 	// Acyclic base: condensation is trivial and the condensed view must
 	// coincide with the base view.
 	p := fixture.RandProgram(2, fixture.RandConfig{})
-	p.G.Freeze()
 	if c := p.G.Condensation(); c != nil && !c.Trivial() {
 		t.Skip("seed produced a cycle; fixture guards usually prevent this")
 	}
@@ -634,13 +606,14 @@ func TestOverlayTrivialDivergence(t *testing.T) {
 	if some < 0 {
 		t.Fatal("no local edges in fixture")
 	}
-	w := &overlayWrap{OverlayView: ov, localOut: func(n pag.NodeID, condensed bool) []pag.Edge {
-		if condensed && n == some {
+	cond := ov.CondView()
+	w := &viewWrap{View: cond, localOut: func(n pag.NodeID) []pag.Edge {
+		if n == some {
 			return nil
 		}
-		return ov.LocalOut(n, condensed)
+		return cond.LocalOut(n)
 	}}
-	err = check.Overlay(w, p.G, 0)
+	err = check.Overlay(ov, ov.BaseView(), w, p.G, 0)
 	if err == nil || !strings.Contains(err.Error(), "trivial condensation") {
 		t.Fatalf("trivial-view divergence not detected: %v", err)
 	}

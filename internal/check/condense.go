@@ -6,23 +6,24 @@ import (
 	"dynsum/internal/pag"
 )
 
-// CondView is the read surface Condensation validates; *pag.Condensation
-// implements it.
-type CondView interface {
-	Trivial() bool
+// View is the adjacency read surface the condensation and overlay
+// validators check: a condensation's view, or the base or condensed view
+// of an evolved overlay. *pag.View implements it; tests wrap one to
+// corrupt a single accessor and prove the corresponding clause fires.
+type View interface {
 	Rep(n pag.NodeID) pag.NodeID
-	LocalOut(r pag.NodeID) []pag.Edge
-	GlobalOut(r pag.NodeID) []pag.Edge
-	LocalIn(r pag.NodeID) []pag.Edge
-	GlobalIn(r pag.NodeID) []pag.Edge
-	HasGlobalIn(r pag.NodeID) bool
-	HasGlobalOut(r pag.NodeID) bool
-	HasLocalEdges(r pag.NodeID) bool
+	LocalOut(n pag.NodeID) []pag.Edge
+	GlobalOut(n pag.NodeID) []pag.Edge
+	LocalIn(n pag.NodeID) []pag.Edge
+	GlobalIn(n pag.NodeID) []pag.Edge
+	HasGlobalIn(n pag.NodeID) bool
+	HasGlobalOut(n pag.NodeID) bool
+	HasLocalEdges(n pag.NodeID) bool
 }
 
-var _ CondView = (*pag.Condensation)(nil)
+var _ View = (*pag.View)(nil)
 
-// Condensation validates c against its base graph g:
+// Condensation validates the condensed view c against its base graph g:
 //
 //   - Rep is idempotent, in range, and picks the smallest member
 //     (Rep(n) <= n); members share their representative's method
@@ -34,11 +35,11 @@ var _ CondView = (*pag.Condensation)(nil)
 //   - condensed flags are the OR of the members' base flags
 //
 // A trivial condensation (no assign cycle — the condensed view aliases
-// the base layout) is validated by the same clauses: Rep is then the
-// identity and every SCC a singleton.
+// the base layout, and Rep is the identity) is validated by the same
+// clauses with every SCC a singleton.
 //
 // g must be the frozen graph that produced c. Returns nil when healthy.
-func Condensation(g GraphData, c CondView) error {
+func Condensation(g GraphData, c View) error {
 	r := &reporter{}
 	n := g.NumNodes()
 
@@ -63,6 +64,11 @@ func Condensation(g GraphData, c CondView) error {
 		}
 		members[rep] = append(members[rep], nd)
 	}
+	// A trivial condensation aliases the base layout verbatim, so a
+	// singleton assign self-loop (a 1-cycle Tarjan leaves alone) is
+	// retained there; the non-trivial gather strips self-loops for every
+	// rep. Mirror that exactly. Trivial means no node maps elsewhere.
+	strip := len(members) < n
 
 	for i := 0; i < n && !r.full(); i++ {
 		nd := pag.NodeID(i)
@@ -75,11 +81,6 @@ func Condensation(g GraphData, c CondView) error {
 		}
 
 		// Representative: spans must equal the rep-mapped member union.
-		// A trivial condensation aliases the base layout verbatim, so a
-		// singleton assign self-loop (a 1-cycle Tarjan leaves alone) is
-		// retained there; the non-trivial gather strips self-loops for
-		// every rep. Mirror that exactly.
-		strip := !c.Trivial()
 		ms := members[nd]
 		checkCondSpan(r, g, c, nd, "local-out", c.LocalOut(nd), gatherMembers(c, ms, g.LocalOut, strip), strip)
 		checkCondSpan(r, g, c, nd, "global-out", c.GlobalOut(nd), gatherMembers(c, ms, g.GlobalOut, false), strip)
@@ -110,7 +111,7 @@ func Condensation(g GraphData, c CondView) error {
 // union of the members' base spans with endpoints mapped through Rep,
 // deduplicated, and — on local spans — with assign self-loops (collapsed
 // intra-SCC cycle edges) removed.
-func gatherMembers(c CondView, members []pag.NodeID, span func(pag.NodeID) []pag.Edge, stripAssignLoops bool) []pag.Edge {
+func gatherMembers(c View, members []pag.NodeID, span func(pag.NodeID) []pag.Edge, stripAssignLoops bool) []pag.Edge {
 	var out []pag.Edge
 	for _, m := range members {
 		for _, e := range span(m) {
@@ -128,7 +129,7 @@ func gatherMembers(c CondView, members []pag.NodeID, span func(pag.NodeID) []pag
 // expectation as sorted sets (trivial condensations alias the unsorted
 // base spans, so order is representation-defined) and re-checks the
 // self-loop and rep-mapping invariants directly on the exposed span.
-func checkCondSpan(r *reporter, g GraphData, c CondView, rep pag.NodeID, span string, got, want []pag.Edge, strip bool) {
+func checkCondSpan(r *reporter, g GraphData, c View, rep pag.NodeID, span string, got, want []pag.Edge, strip bool) {
 	if r.full() {
 		return
 	}

@@ -42,7 +42,7 @@ func FuzzFreezeValidate(f *testing.F) {
 	f.Add(int64(7), int64(1<<15|3<<3), true)
 	f.Add(int64(42), int64(-1), false)
 	f.Fuzz(func(t *testing.T, seed, shape int64, recursive bool) {
-		p := fixture.RandProgram(seed, fuzzConfig(shape, recursive))
+		p := fixture.RandProgramMutable(seed, fuzzConfig(shape, recursive))
 		if err := p.G.Validate(); err != nil {
 			t.Fatalf("generator emitted an invalid program: %v", err)
 		}
@@ -53,7 +53,7 @@ func FuzzFreezeValidate(f *testing.F) {
 		if err := check.Graph(p.G); err != nil {
 			t.Fatalf("frozen form: %v", err)
 		}
-		if err := check.Condensation(p.G, p.G.Condensation()); err != nil {
+		if err := check.Condensation(p.G, p.G.Condensation().View()); err != nil {
 			t.Fatalf("condensation: %v", err)
 		}
 		fp := check.Fingerprint(p.G)
@@ -75,7 +75,6 @@ func FuzzDeltaApplyValidate(f *testing.F) {
 	f.Add(int64(23), int64(1), int64(-1))
 	f.Fuzz(func(t *testing.T, seed, waves, shape int64) {
 		p := fixture.RandProgram(seed, fuzzConfig(shape, shape&1 != 0))
-		p.G.Freeze()
 		base := p.G
 		fp := check.Fingerprint(base)
 		cls := pag.NoClass
@@ -155,10 +154,9 @@ func FuzzDeltaApplyValidate(f *testing.F) {
 				}
 			}
 
-			if ov := d.Overlay(); ov != nil {
-				if err := check.Overlay(ov, base, fp); err != nil {
-					t.Fatalf("wave %d: %v", w, err)
-				}
+			ov := d.Overlay()
+			if err := check.Overlay(ov, ov.BaseView(), ov.CondView(), base, fp); err != nil {
+				t.Fatalf("wave %d: %v", w, err)
 			}
 			if err := check.Cache(d); err != nil {
 				t.Fatalf("wave %d: %v", w, err)
@@ -173,7 +171,7 @@ func FuzzDeltaApplyValidate(f *testing.F) {
 			if err := check.Graph(g); err != nil {
 				t.Fatalf("post-compact graph: %v", err)
 			}
-			if err := check.Condensation(g, g.Condensation()); err != nil {
+			if err := check.Condensation(g, g.Condensation().View()); err != nil {
 				t.Fatalf("post-compact condensation: %v", err)
 			}
 			if err := check.Cache(d); err != nil {

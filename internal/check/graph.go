@@ -8,6 +8,7 @@ import (
 // in both builder and frozen form; tests wrap one to corrupt a single
 // accessor and prove the corresponding clause fires.
 type GraphData interface {
+	Frozen() bool
 	NumNodes() int
 	NumEdges() int
 	EdgeKindCount(k pag.EdgeKind) int
@@ -33,7 +34,9 @@ type GraphData interface {
 var _ GraphData = (*pag.Graph)(nil)
 
 // Graph validates the adjacency representation of g — builder slices or
-// frozen CSR alike, since both feed the same accessor surface:
+// frozen CSR alike. The partitioned accessors read the frozen layout only,
+// so a builder-form graph's Out/In spans are split at their first global
+// edge instead, which leaves every clause below meaningful:
 //
 //   - every span endpoint and label is in range
 //   - the local/global partition: LocalOut holds only local kinds,
@@ -64,8 +67,12 @@ func Graph(g GraphData) error {
 
 	for i := 0; i < n && !r.full(); i++ {
 		nd := pag.NodeID(i)
-		lo, gout := g.LocalOut(nd), g.GlobalOut(nd)
-		li, gin := g.LocalIn(nd), g.GlobalIn(nd)
+		lo, gout := splitSpan(g.Out(nd))
+		li, gin := splitSpan(g.In(nd))
+		if g.Frozen() {
+			lo, gout = g.LocalOut(nd), g.GlobalOut(nd)
+			li, gin = g.LocalIn(nd), g.GlobalIn(nd)
+		}
 
 		checkSpan(r, g, nd, "local-out", lo, true, false)
 		checkSpan(r, g, nd, "global-out", gout, false, false)
@@ -249,4 +256,16 @@ func checkFieldIndex(r *reporter, g GraphData, name string, index func(pag.Field
 	if got != len(want) && !r.full() {
 		r.errorf("graph: %s indexes %d edges, spans hold %d", name, got, len(want))
 	}
+}
+
+// splitSpan splits a builder-form span at its first global edge: the
+// local half, then everything after — where a misplaced local edge then
+// shows up as a partition violation.
+func splitSpan(es []pag.Edge) (local, global []pag.Edge) {
+	for i, e := range es {
+		if !e.Kind.IsLocal() {
+			return es[:i], es[i:]
+		}
+	}
+	return es, nil
 }

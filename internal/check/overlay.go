@@ -4,24 +4,16 @@ import (
 	"dynsum/internal/pag"
 )
 
-// OverlayView is the read surface Overlay validates; *delta.Overlay
-// implements it. The condensed flag of each accessor selects the
-// repaired condensation view.
-type OverlayView interface {
+// OverlayNodes is the node-table surface Overlay validates the views
+// against; *delta.Overlay implements it (added nodes included).
+type OverlayNodes interface {
 	NumNodes() int
 	Node(n pag.NodeID) pag.Node
 	NodeString(n pag.NodeID) string
-	Rep(n pag.NodeID) pag.NodeID
-	LocalOut(n pag.NodeID, condensed bool) []pag.Edge
-	GlobalOut(n pag.NodeID, condensed bool) []pag.Edge
-	LocalIn(n pag.NodeID, condensed bool) []pag.Edge
-	GlobalIn(n pag.NodeID, condensed bool) []pag.Edge
-	HasGlobalIn(n pag.NodeID, condensed bool) bool
-	HasGlobalOut(n pag.NodeID, condensed bool) bool
-	HasLocalEdges(n pag.NodeID, condensed bool) bool
 }
 
-// Overlay validates the delta overlay o over its frozen base graph:
+// Overlay validates an evolved overlay's two views — base (its
+// BaseView) and cond (its CondView) — over the frozen base graph:
 //
 //   - the base arrays are byte-untouched: Fingerprint(base) still equals
 //     baseFP (captured before the first ApplyDelta; pass 0 to skip)
@@ -40,13 +32,13 @@ type OverlayView interface {
 //   - condensed flags never understate a span, and the global-edge flags
 //     are exact
 //
-// base must be the frozen graph the overlay was built on. When the base
+// g must be the frozen graph the overlay was built on. When its
 // condensation is trivial the condensed view is defined to coincide with
 // the base view, and is checked against it verbatim.
-func Overlay(o OverlayView, base *pag.Graph, baseFP uint64) error {
+func Overlay(o OverlayNodes, base, cond View, g *pag.Graph, baseFP uint64) error {
 	r := &reporter{}
 	if baseFP != 0 {
-		if fp := Fingerprint(base); fp != baseFP {
+		if fp := Fingerprint(g); fp != baseFP {
 			r.errorf("overlay: base graph fingerprint changed: %#x -> %#x (frozen arrays were written)", baseFP, fp)
 		}
 	}
@@ -55,17 +47,17 @@ func Overlay(o OverlayView, base *pag.Graph, baseFP uint64) error {
 	mirror := map[pag.Edge]int{}
 	for i := 0; i < n && !r.full(); i++ {
 		nd := pag.NodeID(i)
-		lo, gout := o.LocalOut(nd, false), o.GlobalOut(nd, false)
-		li, gin := o.LocalIn(nd, false), o.GlobalIn(nd, false)
+		lo, gout := base.LocalOut(nd), base.GlobalOut(nd)
+		li, gin := base.LocalIn(nd), base.GlobalIn(nd)
 
 		checkOverlaySpan(r, o, nd, "base local-out", lo, true, false)
 		checkOverlaySpan(r, o, nd, "base global-out", gout, false, false)
 		checkOverlaySpan(r, o, nd, "base local-in", li, true, true)
 		checkOverlaySpan(r, o, nd, "base global-in", gin, false, true)
 
-		checkFlagOverlay(r, o, nd, "HasLocalEdges(base)", o.HasLocalEdges(nd, false), len(lo)+len(li))
-		checkFlagOverlay(r, o, nd, "HasGlobalOut(base)", o.HasGlobalOut(nd, false), len(gout))
-		checkFlagOverlay(r, o, nd, "HasGlobalIn(base)", o.HasGlobalIn(nd, false), len(gin))
+		checkFlagOverlay(r, o, nd, "HasLocalEdges(base)", base.HasLocalEdges(nd), len(lo)+len(li))
+		checkFlagOverlay(r, o, nd, "HasGlobalOut(base)", base.HasGlobalOut(nd), len(gout))
+		checkFlagOverlay(r, o, nd, "HasGlobalIn(base)", base.HasGlobalIn(nd), len(gin))
 
 		for _, e := range lo {
 			mirror[e]++
@@ -91,20 +83,19 @@ func Overlay(o OverlayView, base *pag.Graph, baseFP uint64) error {
 		}
 	}
 
-	checkOverlayRep(r, o, n)
+	checkOverlayRep(r, o, cond, n)
 
-	cond := base.Condensation()
-	if cond == nil || cond.Trivial() {
-		checkOverlayTrivialCond(r, o, n)
+	if c := g.Condensation(); c == nil || c.Trivial() {
+		checkOverlayTrivialCond(r, o, base, cond, n)
 	} else {
-		checkOverlayCondensed(r, o, n)
+		checkOverlayCondensed(r, o, base, cond, n)
 	}
 	return r.err()
 }
 
 // checkOverlaySpan validates one overlay span against the frozen-layout
 // invariants (partition, anchoring, ranges, dedup).
-func checkOverlaySpan(r *reporter, o OverlayView, n pag.NodeID, span string, es []pag.Edge, local, in bool) {
+func checkOverlaySpan(r *reporter, o OverlayNodes, n pag.NodeID, span string, es []pag.Edge, local, in bool) {
 	seen := map[pag.Edge]bool{}
 	for _, e := range es {
 		if r.full() {
@@ -134,17 +125,17 @@ func checkOverlaySpan(r *reporter, o OverlayView, n pag.NodeID, span string, es 
 	}
 }
 
-func checkFlagOverlay(r *reporter, o OverlayView, n pag.NodeID, name string, flag bool, spanLen int) {
+func checkFlagOverlay(r *reporter, o OverlayNodes, n pag.NodeID, name string, flag bool, spanLen int) {
 	if flag != (spanLen > 0) {
 		r.errorf("overlay: %s of %s = %v but spans hold %d edges", name, o.NodeString(n), flag, spanLen)
 	}
 }
 
 // checkOverlayRep validates the repaired representative array.
-func checkOverlayRep(r *reporter, o OverlayView, n int) {
+func checkOverlayRep(r *reporter, o OverlayNodes, cond View, n int) {
 	for i := 0; i < n && !r.full(); i++ {
 		nd := pag.NodeID(i)
-		rep := o.Rep(nd)
+		rep := cond.Rep(nd)
 		if rep < 0 || int(rep) >= n {
 			r.errorf("overlay: Rep(%s) = %d out of range", o.NodeString(nd), rep)
 			continue
@@ -152,7 +143,7 @@ func checkOverlayRep(r *reporter, o OverlayView, n int) {
 		if rep > nd {
 			r.errorf("overlay: Rep(%s) = %s is not the smallest member", o.NodeString(nd), o.NodeString(rep))
 		}
-		if rr := o.Rep(rep); rr != rep {
+		if rr := cond.Rep(rep); rr != rep {
 			r.errorf("overlay: Rep not idempotent at %s: Rep=%s, Rep(Rep)=%s",
 				o.NodeString(nd), o.NodeString(rep), o.NodeString(rr))
 		}
@@ -164,16 +155,16 @@ func checkOverlayRep(r *reporter, o OverlayView, n int) {
 
 // checkOverlayTrivialCond verifies that over a trivially-condensed base
 // the condensed view coincides with the base view, node by node.
-func checkOverlayTrivialCond(r *reporter, o OverlayView, n int) {
+func checkOverlayTrivialCond(r *reporter, o OverlayNodes, base, cond View, n int) {
 	for i := 0; i < n && !r.full(); i++ {
 		nd := pag.NodeID(i)
-		if o.Rep(nd) != nd {
-			r.errorf("overlay: Rep(%s) = %s under a trivial base condensation", o.NodeString(nd), o.NodeString(o.Rep(nd)))
+		if cond.Rep(nd) != nd {
+			r.errorf("overlay: Rep(%s) = %s under a trivial base condensation", o.NodeString(nd), o.NodeString(cond.Rep(nd)))
 		}
-		if !edgesEqual(o.LocalOut(nd, true), o.LocalOut(nd, false)) ||
-			!edgesEqual(o.GlobalOut(nd, true), o.GlobalOut(nd, false)) ||
-			!edgesEqual(o.LocalIn(nd, true), o.LocalIn(nd, false)) ||
-			!edgesEqual(o.GlobalIn(nd, true), o.GlobalIn(nd, false)) {
+		if !edgesEqual(cond.LocalOut(nd), base.LocalOut(nd)) ||
+			!edgesEqual(cond.GlobalOut(nd), base.GlobalOut(nd)) ||
+			!edgesEqual(cond.LocalIn(nd), base.LocalIn(nd)) ||
+			!edgesEqual(cond.GlobalIn(nd), base.GlobalIn(nd)) {
 			r.errorf("overlay: condensed view of %s diverges from base view despite trivial condensation", o.NodeString(nd))
 		}
 	}
@@ -181,25 +172,25 @@ func checkOverlayTrivialCond(r *reporter, o OverlayView, n int) {
 
 // checkOverlayCondensed recomputes the expected condensation of the
 // patched base view and compares the repaired condensed view against it.
-func checkOverlayCondensed(r *reporter, o OverlayView, n int) {
+func checkOverlayCondensed(r *reporter, o OverlayNodes, base, cond View, n int) {
 	members := map[pag.NodeID][]pag.NodeID{}
 	for i := 0; i < n; i++ {
 		nd := pag.NodeID(i)
-		rep := o.Rep(nd)
+		rep := cond.Rep(nd)
 		if rep < 0 || int(rep) >= n {
 			continue // reported by checkOverlayRep
 		}
 		members[rep] = append(members[rep], nd)
 	}
 
-	gather := func(ms []pag.NodeID, span func(pag.NodeID, bool) []pag.Edge, strip bool) []pag.Edge {
+	gather := func(ms []pag.NodeID, span func(pag.NodeID) []pag.Edge, strip bool) []pag.Edge {
 		var out []pag.Edge
 		for _, m := range ms {
-			for _, e := range span(m, false) {
+			for _, e := range span(m) {
 				if e.Src < 0 || int(e.Src) >= n || e.Dst < 0 || int(e.Dst) >= n {
 					continue // out-of-range endpoint, reported by the base-span check
 				}
-				me := pag.Edge{Src: o.Rep(e.Src), Dst: o.Rep(e.Dst), Kind: e.Kind, Label: e.Label}
+				me := pag.Edge{Src: cond.Rep(e.Src), Dst: cond.Rep(e.Dst), Kind: e.Kind, Label: e.Label}
 				if strip && me.Kind == pag.Assign && me.Src == me.Dst {
 					continue
 				}
@@ -211,9 +202,9 @@ func checkOverlayCondensed(r *reporter, o OverlayView, n int) {
 
 	for i := 0; i < n && !r.full(); i++ {
 		nd := pag.NodeID(i)
-		if o.Rep(nd) != nd {
-			if len(o.LocalOut(nd, true))+len(o.GlobalOut(nd, true))+
-				len(o.LocalIn(nd, true))+len(o.GlobalIn(nd, true)) != 0 {
+		if cond.Rep(nd) != nd {
+			if len(cond.LocalOut(nd))+len(cond.GlobalOut(nd))+
+				len(cond.LocalIn(nd))+len(cond.GlobalIn(nd)) != 0 {
 				r.errorf("overlay: non-representative %s has non-empty condensed spans", o.NodeString(nd))
 			}
 			continue
@@ -226,10 +217,10 @@ func checkOverlayCondensed(r *reporter, o OverlayView, n int) {
 			local bool
 		}
 		cases := []spanCase{
-			{"local-out", o.LocalOut(nd, true), gather(ms, o.LocalOut, true), true},
-			{"global-out", o.GlobalOut(nd, true), gather(ms, o.GlobalOut, false), false},
-			{"local-in", o.LocalIn(nd, true), gather(ms, o.LocalIn, true), true},
-			{"global-in", o.GlobalIn(nd, true), gather(ms, o.GlobalIn, false), false},
+			{"local-out", cond.LocalOut(nd), gather(ms, base.LocalOut, true), true},
+			{"global-out", cond.GlobalOut(nd), gather(ms, base.GlobalOut, false), false},
+			{"local-in", cond.LocalIn(nd), gather(ms, base.LocalIn, true), true},
+			{"global-in", cond.GlobalIn(nd), gather(ms, base.GlobalIn, false), false},
 		}
 		localLen, ginLen, goutLen := 0, 0, 0
 		for _, cs := range cases {
@@ -252,13 +243,13 @@ func checkOverlayCondensed(r *reporter, o OverlayView, n int) {
 		// may legitimately overstate (an all-assign SCC keeps its members'
 		// aggregated flag while its condensed spans collapse to nothing),
 		// so only understatement is a violation.
-		if o.HasGlobalIn(nd, true) != (ginLen > 0) {
-			r.errorf("overlay: HasGlobalIn(cond) of %s = %v but span holds %d edges", o.NodeString(nd), o.HasGlobalIn(nd, true), ginLen)
+		if cond.HasGlobalIn(nd) != (ginLen > 0) {
+			r.errorf("overlay: HasGlobalIn(cond) of %s = %v but span holds %d edges", o.NodeString(nd), cond.HasGlobalIn(nd), ginLen)
 		}
-		if o.HasGlobalOut(nd, true) != (goutLen > 0) {
-			r.errorf("overlay: HasGlobalOut(cond) of %s = %v but span holds %d edges", o.NodeString(nd), o.HasGlobalOut(nd, true), goutLen)
+		if cond.HasGlobalOut(nd) != (goutLen > 0) {
+			r.errorf("overlay: HasGlobalOut(cond) of %s = %v but span holds %d edges", o.NodeString(nd), cond.HasGlobalOut(nd), goutLen)
 		}
-		if localLen > 0 && !o.HasLocalEdges(nd, true) {
+		if localLen > 0 && !cond.HasLocalEdges(nd) {
 			r.errorf("overlay: HasLocalEdges(cond) of %s = false but spans hold %d edges", o.NodeString(nd), localLen)
 		}
 	}

@@ -26,6 +26,7 @@
 package clients
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -281,7 +282,7 @@ func classify(s querySite, r core.Result) (Verdict, int) {
 
 // runBatch classifies every site from one BatchPointsTo fan-out.
 func runBatch(client string, sites []querySite, a BatchAnalysis, workers int) *Report {
-	results := a.BatchPointsTo(queriesOf(sites), workers)
+	results := a.BatchPointsTo(nil, queriesOf(sites), workers)
 	rep := &Report{Client: client, Analysis: a.Name()}
 	for i, s := range sites {
 		v, n := classify(s, results[i])
@@ -320,7 +321,7 @@ func Run(client string, p *pag.Program, a core.Analysis) (*Report, error) {
 // through a worker pool; core.DynSum implements it.
 type BatchAnalysis interface {
 	core.Analysis
-	BatchPointsTo(queries []core.Query, workers int) []core.Result
+	BatchPointsTo(ctx context.Context, queries []core.Query, workers int) []core.Result
 }
 
 // RunParallel is Run with the client's queries fanned out across workers

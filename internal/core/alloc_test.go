@@ -6,25 +6,27 @@
 package core_test
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
 	"dynsum/internal/fixture"
 	"dynsum/internal/intstack"
 )
 
-// warmFigure2 builds the Figure 2 example, freezes it to the CSR layout,
-// and warms a DYNSUM engine on both motivating queries.
+// warmFigure2 builds the (frozen) Figure 2 example and warms a DYNSUM
+// engine on both motivating queries.
 func warmFigure2(t *testing.T) (*core.DynSum, *fixture.Figure2) {
 	t.Helper()
 	f := fixture.BuildFigure2()
-	f.Prog.G.Freeze()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	dst := core.NewPointsToSet()
-	if err := d.PointsToInto(dst, f.S1); err != nil {
+	if err := d.Query(nil, dst, f.S1, intstack.Empty); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PointsToInto(dst, f.S2); err != nil {
+	if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 		t.Fatal(err)
 	}
 	return d, f
@@ -33,7 +35,7 @@ func warmFigure2(t *testing.T) (*core.DynSum, *fixture.Figure2) {
 // TestWarmQueryAllocatesNothing is the allocation-regression guard for the
 // zero-allocation query path: a warm-cache DYNSUM points-to query on the
 // Figure 2 motivating example, asked through the reuse API
-// (PointsToInto with a caller-owned result set), must perform zero heap
+// (Query with a caller-owned result set), must perform zero heap
 // allocations. Per-query state lives in the pooled Scratch, cached PPTA
 // summaries are handed to the driver as read-only views, and the result
 // set's buckets are retained across Reset — so the steady state of a
@@ -41,16 +43,16 @@ func warmFigure2(t *testing.T) (*core.DynSum, *fixture.Figure2) {
 func TestWarmQueryAllocatesNothing(t *testing.T) {
 	d, f := warmFigure2(t)
 	dst := core.NewPointsToSet()
-	if err := d.PointsToInto(dst, f.S2); err != nil { // size dst's buckets
+	if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil { // size dst's buckets
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := d.PointsToInto(dst, f.S2); err != nil {
+		if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm-cache PointsToInto allocated %.1f times per run, want 0", allocs)
+		t.Errorf("warm-cache Query allocated %.1f times per run, want 0", allocs)
 	}
 	if dst.Len() == 0 {
 		t.Error("warm query returned an empty set")
@@ -89,11 +91,51 @@ func TestColdQueryAllocationBound(t *testing.T) {
 	const coldAllocBound = 96
 	allocs := testing.AllocsPerRun(100, func() {
 		d.ResetCache()
-		if err := d.PointsToCtxInto(dst, f.S2, intstack.Empty); err != nil {
+		if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > coldAllocBound {
-		t.Errorf("cold PointsToCtxInto allocated %.1f times per run, want <= %d", allocs, coldAllocBound)
+		t.Errorf("cold Query allocated %.1f times per run, want <= %d", allocs, coldAllocBound)
+	}
+}
+
+// TestNewDynSumIsConstantSize pins engine construction at O(1) in the
+// graph's size: every engine carries an epoch overlay and a resolved view,
+// and both must alias the frozen arrays rather than copy or index them
+// per node. Building engines over a graph ten times larger must not
+// allocate more bytes. TotalAlloc also counts whatever the runtime and
+// other goroutines allocate meanwhile, which only ever adds: each size
+// keeps its smallest of several samples, and a slack of constSizeSlack
+// bytes per engine absorbs the rest (a per-node table of one int32
+// already costs ten times that at the larger size).
+func TestNewDynSumIsConstantSize(t *testing.T) {
+	const constSizeSlack = 1024
+	bytesPerEngine := func(scale float64) (uint64, int) {
+		prog := benchgen.Generate(benchgen.ProfileByNameMust("luindex").Scaled(scale), 1)
+		const engines, samples = 50, 5
+		best := uint64(math.MaxUint64)
+		for range samples {
+			keep := make([]*core.DynSum, engines)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range keep {
+				keep[i] = core.NewDynSum(prog.G, core.Config{}, nil)
+			}
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(keep)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/engines)
+		}
+		return best, prog.G.NumNodes()
+	}
+	small, nSmall := bytesPerEngine(0.005)
+	large, nLarge := bytesPerEngine(0.05)
+	if nLarge < 5*nSmall {
+		t.Fatalf("graphs too close in size: %d vs %d nodes", nSmall, nLarge)
+	}
+	if large > small+constSizeSlack {
+		t.Errorf("NewDynSum allocates %d B on %d nodes but %d B on %d nodes; construction must not grow with the graph",
+			small, nSmall, large, nLarge)
 	}
 }

@@ -70,17 +70,14 @@ type Result struct {
 // (see internal/enginetest for the equivalence suite), though which
 // queries exhaust their budget can differ from a serial run near the
 // budget boundary (see the file comment above).
-func (d *DynSum) BatchPointsTo(queries []Query, workers int) []Result {
-	return d.BatchPointsToCtx(nil, queries, workers)
-}
-
-// BatchPointsToCtx is BatchPointsTo governed by a context: once ctx is
-// done, in-flight queries abort cooperatively with ErrCanceled (within
-// one cancelCheckInterval of budget steps) and the remaining queries are
-// drained — their slots are filled with ErrCanceled results without any
-// traversal — so the call returns promptly with every result slot
-// populated and the worker pool fully drained. ctx may be nil.
-func (d *DynSum) BatchPointsToCtx(ctx context.Context, queries []Query, workers int) []Result {
+//
+// ctx may be nil. Once it is done, in-flight queries abort cooperatively
+// with ErrCanceled (within one cancelCheckInterval of budget steps) and
+// the remaining queries are drained — their slots are filled with
+// ErrCanceled results without any traversal — so the call returns
+// promptly with every result slot populated and the worker pool fully
+// drained.
+func (d *DynSum) BatchPointsTo(ctx context.Context, queries []Query, workers int) []Result {
 	results := make([]Result, len(queries))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -117,7 +114,7 @@ func (d *DynSum) BatchPointsToCtx(ctx context.Context, queries []Query, workers 
 }
 
 // batchOne answers one batched query behind its own panic boundary.
-// pointsToInto already quarantines traversal panics into its error
+// query already quarantines traversal panics into its error
 // return; the recover here is the second boundary the batch needs — it
 // catches anything outside that window (result-set allocation, a
 // panicking user Tracer after the traversal) so a worker goroutine can
@@ -134,7 +131,7 @@ func (d *DynSum) batchOne(ctx context.Context, q Query) (res Result) {
 		}
 	}()
 	pts := NewPointsToSet()
-	err := d.pointsToInto(ctx, pts, q.Var, q.Ctx, d.cfg.Budget)
+	err := d.Query(ctx, pts, q.Var, q.Ctx)
 	if _, isPanic := err.(*QueryPanicError); isPanic {
 		// Quarantined traversal: the partial set is untrustworthy.
 		pts = nil

@@ -27,7 +27,7 @@ func figure2Queries(f *fixture.Figure2) []core.Query {
 }
 
 // TestBatchMatchesSerial: BatchPointsTo must return, position by position,
-// exactly what serial PointsToCtx returns, at every worker count.
+// exactly what a serial Query returns, at every worker count.
 func TestBatchMatchesSerial(t *testing.T) {
 	f := fixture.BuildFigure2()
 	queries := figure2Queries(f)
@@ -35,7 +35,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 	serial := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	want := make([]*core.PointsToSet, len(queries))
 	for i, q := range queries {
-		pts, err := serial.PointsToCtx(q.Var, q.Ctx)
+		pts, err := queryIn(nil, serial, q.Var, q.Ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 2, 4, 17} {
 		d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-		results := d.BatchPointsTo(queries, workers)
+		results := d.BatchPointsTo(nil, queries, workers)
 		if len(results) != len(queries) {
 			t.Fatalf("workers=%d: %d results for %d queries", workers, len(results), len(queries))
 		}
@@ -68,7 +68,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 func TestBatchEmpty(t *testing.T) {
 	f := fixture.BuildFigure2()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-	if got := d.BatchPointsTo(nil, 4); len(got) != 0 {
+	if got := d.BatchPointsTo(nil, nil, 4); len(got) != 0 {
 		t.Errorf("BatchPointsTo(nil) = %v", got)
 	}
 }
@@ -79,7 +79,7 @@ func TestBatchPropagatesErrors(t *testing.T) {
 	m := fixture.AssignChain(50)
 	d := core.NewDynSum(m.Prog.G, core.Config{Budget: 10}, nil)
 	queries := []core.Query{{Var: m.Query, Ctx: intstack.Empty}, {Var: m.Query, Ctx: intstack.Empty}}
-	results := d.BatchPointsTo(queries, 2)
+	results := d.BatchPointsTo(nil, queries, 2)
 	for i, r := range results {
 		if !errors.Is(r.Err, core.ErrBudget) {
 			t.Errorf("result %d: err = %v, want ErrBudget", i, r.Err)
@@ -93,12 +93,12 @@ func TestBatchSharesSummaries(t *testing.T) {
 	f := fixture.BuildFigure2()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	queries := figure2Queries(f)
-	d.BatchPointsTo(queries, 4)
+	d.BatchPointsTo(nil, queries, 4)
 	if d.SummaryCount() == 0 {
 		t.Fatal("no summaries cached after batch")
 	}
 	before := d.Metrics().Snapshot()
-	d.BatchPointsTo(queries, 4)
+	d.BatchPointsTo(nil, queries, 4)
 	after := d.Metrics().Snapshot()
 	if after.CacheHits <= before.CacheHits {
 		t.Errorf("repeat batch reused no summaries: hits %d -> %d", before.CacheHits, after.CacheHits)
@@ -109,7 +109,7 @@ func TestBatchSharesSummaries(t *testing.T) {
 }
 
 // TestBatchConcurrentWithPointForQueries: overlapping batches and direct
-// PointsToCtx calls on one engine must all give serial answers; run under
+// Query calls on one engine must all give serial answers; run under
 // -race this exercises the sharded cache, atomic metrics, and concurrent
 // stack interning.
 func TestBatchConcurrentWithPointForQueries(t *testing.T) {
@@ -119,7 +119,7 @@ func TestBatchConcurrentWithPointForQueries(t *testing.T) {
 	serial := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	want := make([]*core.PointsToSet, len(queries))
 	for i, q := range queries {
-		pts, err := serial.PointsToCtx(q.Var, q.Ctx)
+		pts, err := queryIn(nil, serial, q.Var, q.Ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestBatchConcurrentWithPointForQueries(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			batchResults[r] = shared.BatchPointsTo(queries, 3)
+			batchResults[r] = shared.BatchPointsTo(nil, queries, 3)
 		}(r)
 	}
 	directErrs := make([]error, len(queries))
@@ -143,7 +143,7 @@ func TestBatchConcurrentWithPointForQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			directPts[i], directErrs[i] = shared.PointsToCtx(queries[i].Var, queries[i].Ctx)
+			directPts[i], directErrs[i] = queryIn(nil, shared, queries[i].Var, queries[i].Ctx)
 		}(i)
 	}
 	wg.Wait()
@@ -194,7 +194,7 @@ func TestBatchNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{2, 4, 16} {
 		d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-		d.BatchPointsTo(queries, workers)
+		d.BatchPointsTo(nil, queries, workers)
 	}
 	goroutineStable(t, base)
 }
@@ -210,7 +210,7 @@ func TestBatchCancelPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	results := d.BatchPointsToCtx(ctx, queries, 4)
+	results := d.BatchPointsTo(ctx, queries, 4)
 	if len(results) != len(queries) {
 		t.Fatalf("%d results for %d queries", len(results), len(queries))
 	}
@@ -247,7 +247,7 @@ func TestBatchCancelMidFlight(t *testing.T) {
 	var once sync.Once
 	d.Tracer = func(core.TraceEvent) { once.Do(cancel) }
 
-	results := d.BatchPointsToCtx(ctx, queries, 4)
+	results := d.BatchPointsTo(ctx, queries, 4)
 	if len(results) != len(queries) {
 		t.Fatalf("%d results for %d queries", len(results), len(queries))
 	}
@@ -290,7 +290,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 	faultinject.Activate(s)
 	defer faultinject.Deactivate()
 
-	results := d.BatchPointsTo(queries, 4)
+	results := d.BatchPointsTo(nil, queries, 4)
 	faultinject.Deactivate()
 
 	panicked := 0
@@ -316,7 +316,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 		t.Errorf("CheckIntegrity after batch panic: %v", err)
 	}
 	// The engine keeps answering: rerun the batch cleanly.
-	for i, r := range d.BatchPointsTo(queries, 4) {
+	for i, r := range d.BatchPointsTo(nil, queries, 4) {
 		if r.Err != nil {
 			t.Errorf("rerun result %d: %v", i, r.Err)
 		}

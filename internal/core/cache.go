@@ -19,7 +19,7 @@ import (
 // Alongside the key-sharded entry map the cache maintains a per-method key
 // index: every inserted key is also appended to its method's list (the
 // method of a key never changes — condensed keys are SCC representatives,
-// and assign SCCs never cross methods). InvalidateMethod then walks the
+// and assign SCCs never cross methods). Invalidating a method then walks the
 // one affected list instead of scanning every shard's full map, making
 // invalidation O(entries of that method) — the cost profile an IDE doing
 // per-edit invalidation needs once write-backs grow the cache to many

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkInvalidateMethod is the O(method)-invalidation claim: on a warm
-// soot-c cache, InvalidateMethod consults the per-method key index and
+// soot-c cache, per-method invalidation consults the per-method key index and
 // walks only the edited method's entries, so its cost is flat as the cache
 // grows; the legacy full-scan path (deleteIf over every shard's map) grows
 // linearly with total cache size. Each iteration invalidates one warm
@@ -21,7 +21,7 @@ func BenchmarkInvalidateMethod(b *testing.B) {
 	for _, scale := range []float64{0.01, 0.02} {
 		d, methods := warmSootCCache(b, scale)
 		b.Run(fmt.Sprintf("indexed/scale%g", scale), func(b *testing.B) {
-			runInvalidate(b, d, methods, d.InvalidateMethod)
+			runInvalidate(b, d, methods, func(m pag.MethodID) int { return core.InvalidateMethod(d, m) })
 		})
 		b.Run(fmt.Sprintf("scan/scale%g", scale), func(b *testing.B) {
 			runInvalidate(b, d, methods, func(m pag.MethodID) int {

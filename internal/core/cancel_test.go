@@ -41,6 +41,7 @@ func segmentedChain(segs, seg int) (*pag.Program, pag.NodeID) {
 			carry = g
 		}
 	}
+	b.G.Freeze()
 	return pag.NewProgram("segmented", b.G), v
 }
 
@@ -53,7 +54,7 @@ func TestCancelBeforeQuery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	pts, err := d.PointsToCtx2(ctx, f.S1, intstack.Empty)
+	pts, err := queryIn(ctx, d, f.S1, intstack.Empty)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -80,7 +81,7 @@ func TestCancelDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), -1)
 	defer cancel()
 
-	_, err := d.PointsToCtx2(ctx, f.S1, intstack.Empty)
+	_, err := queryIn(ctx, d, f.S1, intstack.Empty)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -101,7 +102,7 @@ func TestCancelMidFlightPrompt(t *testing.T) {
 	defer cancel()
 	d.Tracer = func(core.TraceEvent) { cancel() }
 
-	pts, err := d.PointsToCtx2(ctx, query, intstack.Empty)
+	pts, err := queryIn(ctx, d, query, intstack.Empty)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -117,7 +118,7 @@ func TestCancelMidFlightPrompt(t *testing.T) {
 	// The partial set is a sound under-approximation: whatever is in it
 	// must also be in the uncanceled answer.
 	d2 := core.NewDynSum(prog.G, core.Config{}, nil)
-	full, err := d2.PointsToCtx(query, intstack.Empty)
+	full, err := queryIn(nil, d2, query, intstack.Empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,17 +136,17 @@ func TestCancelThenReuse(t *testing.T) {
 	d := core.NewDynSum(prog.G, core.Config{}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	d.Tracer = func(core.TraceEvent) { cancel() }
-	if _, err := d.PointsToCtx2(ctx, query, intstack.Empty); !errors.Is(err, core.ErrCanceled) {
+	if _, err := queryIn(ctx, d, query, intstack.Empty); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("setup: err = %v, want ErrCanceled", err)
 	}
 	d.Tracer = nil
 
-	got, err := d.PointsToCtx(query, intstack.Empty)
+	got, err := queryIn(nil, d, query, intstack.Empty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := core.NewDynSum(prog.G, core.Config{}, nil)
-	want, err := oracle.PointsToCtx(query, intstack.Empty)
+	want, err := queryIn(nil, oracle, query, intstack.Empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestIsPartial(t *testing.T) {
 func TestQueryPanicQuarantine(t *testing.T) {
 	f := fixture.BuildFigure2()
 	oracle := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-	want, err := oracle.PointsToCtx(f.S1, intstack.Empty)
+	want, err := queryIn(nil, oracle, f.S1, intstack.Empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestQueryPanicQuarantine(t *testing.T) {
 	faultinject.Activate(s)
 	defer faultinject.Deactivate()
 
-	_, err = d.PointsToCtx(f.S1, intstack.Empty)
+	_, err = queryIn(nil, d, f.S1, intstack.Empty)
 	var qp *core.QueryPanicError
 	if !errors.As(err, &qp) {
 		t.Fatalf("err = %v (%T), want *QueryPanicError", err, err)
@@ -227,7 +228,7 @@ func TestQueryPanicQuarantine(t *testing.T) {
 	}
 
 	faultinject.Deactivate()
-	got, err := d.PointsToCtx(f.S1, intstack.Empty)
+	got, err := queryIn(nil, d, f.S1, intstack.Empty)
 	if err != nil {
 		t.Fatalf("re-query after quarantined panic: %v", err)
 	}
@@ -247,7 +248,7 @@ func TestRetryPolicyEscalates(t *testing.T) {
 	}
 
 	p := core.RetryPolicy{MaxAttempts: 4, Budget: 10, BudgetScale: 4}
-	pts, attempts, err := p.PointsTo(context.Background(), d, m.Query)
+	pts, attempts, err := p.PointsTo(context.Background(), d, m.Query, intstack.Empty)
 	if err != nil {
 		t.Fatalf("retry: %v after %d attempts", err, attempts)
 	}
@@ -272,11 +273,19 @@ func TestRetryPolicyDoesNotRetryCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := core.RetryPolicy{MaxAttempts: 5, Budget: 10}
-	_, attempts, err := p.PointsTo(ctx, d, m.Query)
+	_, attempts, err := p.PointsTo(ctx, d, m.Query, intstack.Empty)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if attempts != 1 {
 		t.Errorf("attempts = %d, want 1 (no retry on cancellation)", attempts)
 	}
+}
+
+// queryIn answers one query on d into a fresh set (the allocating form of
+// DynSum.Query).
+func queryIn(ctx context.Context, d *core.DynSum, v pag.NodeID, cc intstack.ID) (*core.PointsToSet, error) {
+	pts := core.NewPointsToSet()
+	err := d.Query(ctx, pts, v, cc)
+	return pts, err
 }

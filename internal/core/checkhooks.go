@@ -22,7 +22,7 @@ const checkMaxViolations = 20
 //
 //   - every live summary-cache entry is reachable from the per-method key
 //     index under the method of its key's node — the property
-//     InvalidateMethod's O(method) walk depends on (the reverse — stale
+//     per-method invalidation's O(method) walk depends on (the reverse — stale
 //     or duplicate index keys without a live entry — is documented as
 //     tolerated and not reported)
 //   - cache keys name nodes inside the current view's ID space
@@ -38,22 +38,7 @@ func (d *DynSum) CheckIntegrity() error {
 		}
 	}
 
-	numNodes := d.g.NumNodes()
-	if d.ov != nil {
-		numNodes = d.ov.NumNodes()
-	}
-	nodeMethod := func(n pag.NodeID) pag.MethodID {
-		if d.ov != nil {
-			return d.ov.Node(n).Method
-		}
-		return d.g.Node(n).Method
-	}
-	nodeString := func(n pag.NodeID) string {
-		if d.ov != nil {
-			return d.ov.NodeString(n)
-		}
-		return d.g.NodeString(n)
-	}
+	numNodes := d.ov.NumNodes()
 
 	// Index the per-method key lists: method -> key set.
 	indexed := make(map[pag.MethodID]map[pptaState]bool)
@@ -81,13 +66,13 @@ func (d *DynSum) CheckIntegrity() error {
 				report("cache: entry key node %d outside the view's %d nodes", k.node, numNodes)
 				continue
 			}
-			m := nodeMethod(k.node)
+			m := d.ov.Node(k.node).Method
 			if !indexed[m][k] {
-				report("cache: entry for %s (method %d, fs %d, st %v) not reachable from the method index — InvalidateMethod would miss it",
-					nodeString(k.node), m, k.fs, k.st)
+				report("cache: entry for %s (method %d, fs %d, st %v) not reachable from the method index — per-method invalidation would miss it",
+					d.ov.NodeString(k.node), m, k.fs, k.st)
 			}
 			if res == nil {
-				report("cache: entry for %s holds a nil result", nodeString(k.node))
+				report("cache: entry for %s holds a nil result", d.ov.NodeString(k.node))
 			}
 		}
 		s.mu.RUnlock()

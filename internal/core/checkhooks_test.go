@@ -19,7 +19,6 @@ func warmEngine(t *testing.T) *DynSum {
 	t.Cleanup(func() { internMinSummaries = prev })
 
 	p := fixture.RandProgram(11, fixture.RandConfig{Globals: 2, GlobalAssigns: 4})
-	p.G.Freeze()
 	d := NewDynSum(p.G, Config{}, nil)
 	for _, v := range fixture.AllLocals(p) {
 		if _, err := d.PointsTo(v); err != nil && !errors.Is(err, ErrDepth) && !errors.Is(err, ErrBudget) {
@@ -42,7 +41,7 @@ func TestCheckIntegrityHealthy(t *testing.T) {
 func TestCheckIntegrityUnindexedEntry(t *testing.T) {
 	d := warmEngine(t)
 	// Plant an entry directly in its shard, bypassing the method index —
-	// exactly the corruption InvalidateMethod could never clean up.
+	// exactly the corruption per-method invalidation could never clean up.
 	k := pptaState{node: 0, fs: 0, st: S1}
 	s := d.cache.shard(k)
 	s.mu.Lock()

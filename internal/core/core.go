@@ -64,6 +64,19 @@ type Config struct {
 	// default (delta.DefaultCompactFraction, 0.5); negative disables
 	// auto-compaction (explicit Compact still works).
 	CompactFraction float64
+
+	// DisableCache turns off summary reuse (DYNSUM): every PPTA runs flat
+	// and nothing is read from or written to the summary cache. The
+	// cache-ablation benchmark uses it to isolate the value of dynamic
+	// summaries.
+	DisableCache bool
+	// DisableCondense keeps DYNSUM on the base (per-node) adjacency even
+	// though the graph carries an SCC-condensed overlay. The condensation
+	// benchmarks and the condensed-vs-base equivalence sweeps use it to
+	// run both modes on one graph. The mode is fixed for the engine's
+	// lifetime: condensed summaries are keyed by representative and cannot
+	// answer base-mode queries, nor the reverse.
+	DisableCondense bool
 }
 
 // Write-back heuristic defaults: shallow field stacks cover the states

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"dynsum/internal/delta"
 	"dynsum/internal/intstack"
 	"dynsum/internal/pag"
 )
@@ -64,173 +63,41 @@ type driverTuple struct {
 	ctx  intstack.ID
 }
 
-// graphView selects between the base adjacency, the SCC-condensed overlay
-// (pag/condense.go) and — on evolved graphs — the epoch delta overlay
-// (internal/delta) with one predictable branch per access. With a non-nil
-// cond every node flowing through the driver and the PPTA is a
-// representative: the start tuple is rep-mapped once and condensed edges
-// carry rep-mapped endpoints, so visited tables, worklist tuples and
-// summary-cache keys all collapse onto representatives for free. With a
-// non-nil ov the overlay resolves every access itself: patched nodes read
-// their per-node replacement spans, everything else falls through to the
-// same condensed/base spans as before, and rep routes through the
-// overlay's *repaired* representative function (dissolved SCC members are
-// their own reps).
-type graphView struct {
-	g    *pag.Graph
-	cond *pag.Condensation
-	ov   *delta.Overlay
-}
-
-//lint:allow viewaware graphView IS the sanctioned raw-accessor layer
-func (v graphView) localIn(n pag.NodeID) []pag.Edge {
-	if v.ov != nil {
-		return v.ov.LocalIn(n, v.cond != nil)
-	}
-	if v.cond != nil {
-		return v.cond.LocalIn(n)
-	}
-	return v.g.LocalIn(n)
-}
-
-//lint:allow viewaware graphView IS the sanctioned raw-accessor layer
-func (v graphView) localOut(n pag.NodeID) []pag.Edge {
-	if v.ov != nil {
-		return v.ov.LocalOut(n, v.cond != nil)
-	}
-	if v.cond != nil {
-		return v.cond.LocalOut(n)
-	}
-	return v.g.LocalOut(n)
-}
-
-//lint:allow viewaware graphView IS the sanctioned raw-accessor layer
-func (v graphView) globalIn(n pag.NodeID) []pag.Edge {
-	if v.ov != nil {
-		return v.ov.GlobalIn(n, v.cond != nil)
-	}
-	if v.cond != nil {
-		return v.cond.GlobalIn(n)
-	}
-	return v.g.GlobalIn(n)
-}
-
-//lint:allow viewaware graphView IS the sanctioned raw-accessor layer
-func (v graphView) globalOut(n pag.NodeID) []pag.Edge {
-	if v.ov != nil {
-		return v.ov.GlobalOut(n, v.cond != nil)
-	}
-	if v.cond != nil {
-		return v.cond.GlobalOut(n)
-	}
-	return v.g.GlobalOut(n)
-}
-
-//lint:allow viewaware graphView IS the sanctioned raw-accessor layer
-func (v graphView) hasGlobalIn(n pag.NodeID) bool {
-	if v.ov != nil {
-		return v.ov.HasGlobalIn(n, v.cond != nil)
-	}
-	if v.cond != nil {
-		return v.cond.HasGlobalIn(n)
-	}
-	return v.g.HasGlobalIn(n)
-}
-
-//lint:allow viewaware graphView IS the sanctioned raw-accessor layer
-func (v graphView) hasGlobalOut(n pag.NodeID) bool {
-	if v.ov != nil {
-		return v.ov.HasGlobalOut(n, v.cond != nil)
-	}
-	if v.cond != nil {
-		return v.cond.HasGlobalOut(n)
-	}
-	return v.g.HasGlobalOut(n)
-}
-
-//lint:allow viewaware graphView IS the sanctioned raw-accessor layer
-func (v graphView) hasLocalEdges(n pag.NodeID) bool {
-	if v.ov != nil {
-		return v.ov.HasLocalEdges(n, v.cond != nil)
-	}
-	if v.cond != nil {
-		return v.cond.HasLocalEdges(n)
-	}
-	return v.g.HasLocalEdges(n)
-}
-
-// rep maps n to its SCC representative (identity without condensation; the
-// repaired representative on evolved graphs).
-func (v graphView) rep(n pag.NodeID) pag.NodeID {
-	if v.cond == nil {
-		return n
-	}
-	if v.ov != nil {
-		return v.ov.Rep(n)
-	}
-	return v.cond.Rep(n)
-}
-
-// numNodes returns the view's node count (delta-added nodes included),
-// the sizing hint for the pooled Scratch.
-func (v graphView) numNodes() int {
-	if v.ov != nil {
-		return v.ov.NumNodes()
-	}
-	return v.g.NumNodes()
-}
-
-// nodeMethod returns n's enclosing method, resolving delta-added nodes
-// through the overlay (the base node table does not know them).
-func (v graphView) nodeMethod(n pag.NodeID) pag.MethodID {
-	if v.ov != nil {
-		return v.ov.Node(n).Method
-	}
-	return v.g.Node(n).Method
-}
-
-// nodeKind returns n's kind, resolving delta-added nodes through the
-// overlay (used by the open-world pessimistic model's global-variable scan).
-func (v graphView) nodeKind(n pag.NodeID) pag.NodeKind {
-	if v.ov != nil {
-		return v.ov.Node(n).Kind
-	}
-	return v.g.Node(n).Kind
-}
-
 // RunDriver executes the Algorithm 4 worklist for a points-to query on v
-// in context ctx, delegating local closures to sum. Every global-edge
-// traversal is debited against bud. trace may be nil. cond may be nil
-// (run on the base adjacency) or the graph's condensed overlay — then sum
-// must summarise representatives (DYNSUM's dynSummarizer does; STASUM
-// passes nil because its precomputed summaries are keyed by original
-// boundary nodes).
-func RunDriver(g *pag.Graph, cond *pag.Condensation, ctxs *intstack.Table, cfg Config, sum Summarizer,
+// in context ctx over view, delegating local closures to sum. Every global-edge traversal is debited against bud.
+// trace may be nil. STASUM drives its precomputed summaries through here
+// over the base view (they are keyed by original boundary nodes, so it
+// never condenses);
+// DYNSUM enters through DynSum.Query with its own per-epoch view.
+func RunDriver(view *pag.View, ctxs *intstack.Table, cfg Config, sum Summarizer,
 	v pag.NodeID, ctx intstack.ID, bud *Budget, m *Metrics, trace func(TraceEvent)) (pts *PointsToSet, err error) {
 
 	pts = NewPointsToSet()
 	sc := getScratch()
-	defer quarantineRelease(sc, m, g.NumNodes(), v, ctx, &err)
-	err = runDriverInto(g, cond, nil, ctxs, cfg, sum, v, ctx, bud, m, trace, pts, sc)
+	defer quarantineRelease(sc, m, view.NumNodes(), v, ctx, &err)
+	err = runDriverInto(view, ctxs, cfg, sum, v, ctx, bud, m, trace, pts, sc)
 	sc.completed = true
 	return pts, err
 }
 
 // runDriverInto is RunDriver accumulating into a caller-supplied set with
-// a caller-supplied workspace — the allocation-free core. ov, when
-// non-nil, is the graph's delta overlay (evolved graphs; DYNSUM only).
-func runDriverInto(g *pag.Graph, cond *pag.Condensation, ov *delta.Overlay, ctxs *intstack.Table, cfg Config, sum Summarizer,
+// a caller-supplied workspace over a caller-resolved view — the
+// allocation-free core. On a condensed view every node flowing through
+// the driver and the PPTA is a representative: the start tuple is
+// rep-mapped once and condensed edges carry rep-mapped endpoints, so
+// visited tables, worklist tuples and summary-cache keys all collapse
+// onto representatives for free.
+func runDriverInto(view *pag.View, ctxs *intstack.Table, cfg Config, sum Summarizer,
 	v pag.NodeID, ctx intstack.ID, bud *Budget, m *Metrics, trace func(TraceEvent),
 	pts *PointsToSet, sc *Scratch) error {
 
-	gv := graphView{g: g, cond: cond, ov: ov}
-	sc.gv = gv
+	sc.view = view
 	sc.resetDriver()
 	defer sc.flushMetrics(m)
 	// Entering through the representative is sound because every SCC
 	// member has the identical local closure (pag/condense.go) and the
 	// answer contains objects, never the queried variable itself.
-	start := driverTuple{node: gv.rep(v), fs: intstack.Empty, st: S1, ctx: ctx}
+	start := driverTuple{node: view.Rep(v), fs: intstack.Empty, st: S1, ctx: ctx}
 	sc.propagate(start)
 
 	for len(sc.dwork) > 0 {
@@ -265,7 +132,7 @@ func runDriverInto(g *pag.Graph, cond *pag.Condensation, ov *delta.Overlay, ctxs
 		for _, fr := range res.Frontier {
 			switch fr.St {
 			case S1: // continue backwards over incoming global edges
-				for _, e := range gv.globalIn(fr.Node) {
+				for _, e := range view.GlobalIn(fr.Node) {
 					if !bud.Step() {
 						atomic.AddInt64(&m.Failed, 1)
 						return bud.Err()
@@ -287,7 +154,7 @@ func runDriverInto(g *pag.Graph, cond *pag.Condensation, ov *delta.Overlay, ctxs
 					}
 				}
 			case S2: // continue forwards over outgoing global edges
-				for _, e := range gv.globalOut(fr.Node) {
+				for _, e := range view.GlobalOut(fr.Node) {
 					if !bud.Step() {
 						atomic.AddInt64(&m.Failed, 1)
 						return bud.Err()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 
 	"dynsum/internal/delta"
@@ -23,12 +24,11 @@ import (
 //
 // A DynSum engine is safe for concurrent queries: the summary cache is
 // sharded (see cache.go), the stack tables intern concurrently, and the
-// work counters are updated atomically, so PointsTo/PointsToCtx may be
-// called from many goroutines and BatchPointsTo fans a query batch out
-// across a worker pool. The mutating operations (ResetCache,
-// InvalidateMethod, setting Tracer, DisableCache or DisableCondense) are
-// not synchronised with in-flight queries; quiesce the engine before
-// calling them.
+// work counters are updated atomically, so PointsTo/Query may be called
+// from many goroutines and BatchPointsTo fans a query batch out across a
+// worker pool. The mutating operations (ResetCache, ApplyDelta, Compact,
+// EnableOpenWorld, setting Tracer) are not synchronised with in-flight
+// queries; quiesce the engine before calling them.
 type DynSum struct {
 	// metrics must stay the first field: its int64 counters are updated
 	// with sync/atomic, which requires 8-byte alignment that 32-bit
@@ -38,11 +38,15 @@ type DynSum struct {
 	g   *pag.Graph
 	cfg Config
 
-	// ov is the delta overlay of an evolved engine (nil until the first
-	// ApplyDelta): the frozen graph plus the epochs applied so far. It is
-	// installed and advanced only by the mutators (ApplyDelta, Compact),
-	// under the same quiescence contract, so queries read it plainly.
+	// ov is the delta overlay over g: epoch 0 until the first ApplyDelta,
+	// and a fresh one after every Compact. Building it is O(1), so every
+	// engine carries one.
 	ov *delta.Overlay
+	// view is the engine's adjacency for the current epoch — condensed or
+	// base per Config.DisableCondense — and the only thing queries read
+	// edges through. The mutators (construction, ApplyDelta, Compact)
+	// resolve it; queries read it plainly under the quiescence contract.
+	view *pag.View
 	// compactions counts how many times the overlay was merged back into
 	// a fresh frozen graph (auto-trigger or explicit Compact).
 	compactions int
@@ -59,33 +63,11 @@ type DynSum struct {
 	// openworld.go.
 	ow *owModel
 
-	// cacheMode records which adjacency mode (condensed or base) filled
-	// the summary cache: 0 unset, 1 condensed, 2 base. Condensed entries
-	// are keyed by SCC representative and hold representative frontiers,
-	// so they are meaningless to the base path (and vice versa); if the
-	// mode observed at query time differs from the cache's, the cache is
-	// dropped before the query runs. Atomic so concurrent first queries
-	// may race to set it without -race findings.
-	cacheMode atomic.Int32
-
 	// Tracer, when set, receives one event per driver tuple and per PPTA
 	// summary computation; the Table 1 reproduction uses it. Events from
 	// concurrent queries arrive on the calling goroutines — install a
 	// tracer only on serially-driven engines, or make it thread-safe.
 	Tracer func(TraceEvent)
-
-	// DisableCache turns off summary reuse; the cache-ablation benchmark
-	// uses it to isolate the value of dynamic summaries.
-	DisableCache bool
-
-	// DisableCondense keeps queries on the base (per-node) adjacency even
-	// when the graph carries an SCC-condensed overlay. The condensation
-	// benchmarks and the condensed-vs-uncondensed equivalence sweep use it
-	// to run both paths on one graph. Toggling it between queries (after
-	// quiescing, like every mutator here) drops the summary cache on the
-	// next query: condensed summaries are representative-keyed and cannot
-	// answer base-path queries, nor the reverse.
-	DisableCondense bool
 }
 
 // TraceEvent describes one step of the driver, mirroring the columns of
@@ -99,32 +81,51 @@ type TraceEvent struct {
 	Kind   string         // "tuple" (driver step) or "ppta" (summary computed)
 }
 
-// NewDynSum builds a DYNSUM engine over g. ctxs may be nil (a private
-// table is created) or shared with other engines so that their points-to
-// sets are directly comparable.
+// NewDynSum builds a DYNSUM engine over the frozen graph g. ctxs may be nil
+// (a private table is created) or shared with other engines so that their
+// points-to sets are directly comparable. Construction is O(1) in the
+// graph's size. It panics on a graph still in builder form.
 func NewDynSum(g *pag.Graph, cfg Config, ctxs *intstack.Table) *DynSum {
+	RequireFrozen("NewDynSum", g)
+	ov, err := delta.NewOverlay(g)
+	if err != nil {
+		panic(err) // unreachable: g is frozen
+	}
 	if ctxs == nil {
 		ctxs = new(intstack.Table)
 	}
-	return &DynSum{
+	d := &DynSum{
 		g:      g,
 		cfg:    cfg.WithDefaults(),
+		ov:     ov,
 		fields: new(intstack.Table),
 		ctxs:   ctxs,
 		cache:  newSummaryCache(),
 		intern: newResultIntern(),
 	}
+	d.resolveView()
+	return d
 }
 
-// condensation returns the graph's SCC-condensed overlay, or nil when the
-// graph is mutable or DisableCondense is set. Everything downstream — the
-// driver expansion, the PPTA traversal and the summary-cache keys — hangs
-// off this one choice, so the two paths can never mix within a query.
-func (d *DynSum) condensation() *pag.Condensation {
-	if d.DisableCondense {
-		return nil
+// RequireFrozen rejects a builder-form graph at engine construction: the
+// engines read adjacency only through the frozen layout. Every engine
+// constructor calls it.
+func RequireFrozen(engine string, g *pag.Graph) {
+	if !g.Frozen() {
+		panic(fmt.Sprintf("core: %s needs a frozen graph; call Graph.Freeze (or Builder.Finish) first, and evolve it through ApplyDelta", engine))
 	}
-	return d.g.Condensation()
+}
+
+// resolveView points the engine's adjacency at the overlay's current
+// epoch in the engine's fixed mode. Everything downstream — the driver
+// expansion, the PPTA traversal and the summary-cache keys — hangs off
+// this one choice, so the two modes can never mix.
+func (d *DynSum) resolveView() {
+	if d.cfg.DisableCondense {
+		d.view = d.ov.BaseView()
+	} else {
+		d.view = d.ov.CondView()
+	}
 }
 
 // InternStats reports the hash-consing effect on cached summaries: shared
@@ -146,23 +147,9 @@ func (d *DynSum) Ctxs() *intstack.Table { return d.ctxs }
 // the quantity Figure 5 compares against STASUM.
 func (d *DynSum) SummaryCount() int { return d.cache.size() }
 
-// ResetCache drops all summaries (used by the IDE-session example to model
-// invalidation after an edit, and by ablations). The hash-consing table is
-// kept: re-computed summaries re-share the same canonical arrays.
+// ResetCache drops all summaries (used by ablations). The hash-consing
+// table is kept: re-computed summaries re-share the same canonical arrays.
 func (d *DynSum) ResetCache() { d.cache.clear() }
-
-// InvalidateMethod drops the summaries whose start node lies in method m —
-// the incremental invalidation an IDE performs after editing one method
-// (the paper motivates DYNSUM with exactly this "program undergoing many
-// edits" scenario, §1 and §7). Summary keys are SCC representatives on
-// condensed graphs, but assign SCCs never cross methods, so the
-// representative's method is the summary's method. The cache keeps a
-// per-method key index filled at insert time, so this walks only the
-// edited method's entries — O(method), not O(cache) — which matters now
-// that write-backs grow the cache to many entries per method.
-func (d *DynSum) InvalidateMethod(m pag.MethodID) int {
-	return d.cache.deleteMethod(m)
-}
 
 // SummaryCached reports whether the start-state PPTA summary of a
 // PointsTo query on v is already in the summary cache — the probe the
@@ -173,18 +160,17 @@ func (d *DynSum) InvalidateMethod(m pag.MethodID) int {
 // footprint was cached by the traversal that created it (write-backs
 // cover every state a completed run visited, DESIGN.md §9). Nodes with
 // no local edges need no PPTA at all and count as warm. With
-// DisableCache nothing is ever warm.
+// Config.DisableCache nothing is ever warm.
 //
-// Like the query entry points, the probe reads the overlay pointer and
-// the cache; callers must order it against mutators exactly as they
-// order queries (the serve layer holds its per-session read lock).
+// Like the query entry points, the probe reads the view and the cache;
+// callers must order it against mutators exactly as they order queries
+// (the serve layer holds its per-session read lock).
 func (d *DynSum) SummaryCached(v pag.NodeID) bool {
-	if d.DisableCache {
+	if d.cfg.DisableCache {
 		return false
 	}
-	gv := graphView{g: d.g, cond: d.condensation(), ov: d.ov}
-	n := gv.rep(v)
-	if !gv.hasLocalEdges(n) {
+	n := d.view.Rep(v)
+	if !d.view.HasLocalEdges(n) {
 		return true
 	}
 	_, ok := d.cache.get(pptaState{node: n, fs: intstack.Empty, st: S1})
@@ -192,65 +178,39 @@ func (d *DynSum) SummaryCached(v pag.NodeID) bool {
 }
 
 // PointsTo implements Analysis: the points-to set of v under the empty
-// initial context.
+// initial context, in a freshly allocated set.
 func (d *DynSum) PointsTo(v pag.NodeID) (*PointsToSet, error) {
-	return d.PointsToCtx(v, intstack.Empty)
-}
-
-// PointsToCtx computes the points-to set of v in the given calling context
-// (an ID in the engine's context table). This is DYNSUM(v, c) of paper
-// Algorithm 4. It allocates only the returned set; for the allocation-free
-// path, reuse a set through PointsToCtxInto.
-func (d *DynSum) PointsToCtx(v pag.NodeID, ctx intstack.ID) (*PointsToSet, error) {
 	pts := NewPointsToSet()
-	err := d.PointsToCtxInto(pts, v, ctx)
+	err := d.Query(nil, pts, v, intstack.Empty)
 	return pts, err
 }
 
-// PointsToInto is PointsTo accumulating into a caller-owned set: dst is
-// emptied (retaining capacity) and filled with the answer. A warm-cache
-// query through this path performs zero heap allocations — per-query
-// state lives in a pooled Scratch and cached summaries are returned as
-// read-only views — which is what lets a batch amortise thousands of
+// Query is the engine's one query entry: DYNSUM(v, cc) of paper
+// Algorithm 4, the points-to set of v in calling context cc (an ID in the
+// engine's context table; intstack.Empty for a whole-program query),
+// accumulated into dst. dst is emptied (retaining capacity) first; on
+// error it holds the sound partial set.
+//
+// ctx may be nil. Otherwise cancellation or a deadline aborts the
+// traversal cooperatively — the budget's per-edge check polls ctx.Done()
+// every cancelCheckInterval steps — returning ErrCanceled (which also
+// matches the context's own cause under errors.Is). A context that cannot
+// be canceled adds no overhead.
+//
+// A warm-cache query performs zero heap allocations: per-query state
+// lives in a pooled Scratch and cached summaries are returned as
+// read-only views, which is what lets a batch amortise thousands of
 // queries (paper Figure 4) without allocator traffic.
-func (d *DynSum) PointsToInto(dst *PointsToSet, v pag.NodeID) error {
-	return d.PointsToCtxInto(dst, v, intstack.Empty)
+func (d *DynSum) Query(ctx context.Context, dst *PointsToSet, v pag.NodeID, cc intstack.ID) error {
+	return d.query(ctx, dst, v, cc, d.cfg.Budget)
 }
 
-// PointsToCtxInto is PointsToCtx accumulating into a caller-owned set; see
-// PointsToInto. On error dst holds the partial set, exactly as the
-// allocating API returns it.
-func (d *DynSum) PointsToCtxInto(dst *PointsToSet, v pag.NodeID, ctx intstack.ID) error {
-	return d.pointsToInto(nil, dst, v, ctx, d.cfg.Budget)
-}
-
-// PointsToCtx2 is PointsToCtx governed by a context: cancellation or a
-// deadline aborts the traversal cooperatively — the budget's per-edge
-// check polls ctx.Done() every cancelCheckInterval steps — returning
-// ErrCanceled (which also matches the context's own cause under
-// errors.Is) with the sound partial set accumulated so far. A context
-// that cannot be canceled adds no overhead over PointsToCtx.
-func (d *DynSum) PointsToCtx2(ctx context.Context, v pag.NodeID, cc intstack.ID) (*PointsToSet, error) {
-	pts := NewPointsToSet()
-	err := d.pointsToInto(ctx, pts, v, cc, d.cfg.Budget)
-	return pts, err
-}
-
-// PointsToCtx2Into is PointsToCtx2 accumulating into a caller-owned set;
-// see PointsToInto for the allocation discipline.
-func (d *DynSum) PointsToCtx2Into(ctx context.Context, dst *PointsToSet, v pag.NodeID, cc intstack.ID) error {
-	return d.pointsToInto(ctx, dst, v, cc, d.cfg.Budget)
-}
-
-// pointsToInto is the single query entry every public PointsTo variant
-// funnels through: it resolves the adjacency mode, arms the budget with
-// the governing context (nil for the context-free APIs), and runs the
-// driver inside the panic-quarantine boundary — quarantineRelease is the
-// only way the borrowed Scratch leaves this function, pooled on normal
-// return (sc.completed) and abandoned on panic. budget is a parameter
-// (rather than always d.cfg.Budget) so RetryPolicy can escalate it
-// per-attempt without mutating the engine.
-func (d *DynSum) pointsToInto(ctx context.Context, dst *PointsToSet, v pag.NodeID, cc intstack.ID, budget int) (err error) {
+// query runs one query inside the panic-quarantine boundary:
+// quarantineRelease is the only way the borrowed Scratch leaves this
+// function, pooled on normal return (sc.completed) and abandoned on
+// panic. budget is a parameter (rather than always d.cfg.Budget) so
+// RetryPolicy can escalate it per attempt without mutating the engine.
+func (d *DynSum) query(ctx context.Context, dst *PointsToSet, v pag.NodeID, cc intstack.ID, budget int) (err error) {
 	atomic.AddInt64(&d.metrics.Queries, 1)
 	dst.Reset()
 	if cerr := ctxDone(ctx); cerr != nil {
@@ -259,24 +219,11 @@ func (d *DynSum) pointsToInto(ctx context.Context, dst *PointsToSet, v pag.NodeI
 		atomic.AddInt64(&d.metrics.Failed, 1)
 		return cerr
 	}
-	cond := d.condensation()
-	mode := int32(1)
-	if cond == nil {
-		mode = 2
-	}
-	if old := d.cacheMode.Load(); old != mode {
-		if old != 0 {
-			// The adjacency mode flipped (DisableCondense toggled after
-			// warm use): cached summaries are keyed for the other mode.
-			d.cache.clear()
-		}
-		d.cacheMode.Store(mode)
-	}
 	sc := getScratch()
 	sc.bud = Budget{Limit: budget}
 	sc.bud.arm(ctx)
-	defer quarantineRelease(sc, &d.metrics, graphView{g: d.g, ov: d.ov}.numNodes(), v, cc, &err)
-	err = runDriverInto(d.g, cond, d.ov, d.ctxs, d.cfg, (*dynSummarizer)(d), v, cc, &sc.bud, &d.metrics, d.Tracer, dst, sc)
+	defer quarantineRelease(sc, &d.metrics, d.ov.NumNodes(), v, cc, &err)
+	err = runDriverInto(d.view, d.ctxs, d.cfg, (*dynSummarizer)(d), v, cc, &sc.bud, &d.metrics, d.Tracer, dst, sc)
 	sc.completed = true
 	return err
 }
@@ -312,13 +259,13 @@ func (ds *dynSummarizer) SliceFields(fs intstack.ID) []intstack.Sym {
 // array.
 func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *Budget, sc *Scratch) (Summary, bool, error) {
 	d := (*DynSum)(ds)
-	gv := sc.gv // resolved once per query by the driver
-	n = gv.rep(n)
+	view := sc.view // resolved once per query by the driver
+	n = view.Rep(n)
 	if d.ow != nil {
 		// Open-world hook: states in actively-bodyless methods are served
 		// their blended summary (or fail under SpecOnly) before the
 		// closed-world machinery sees them. See openworld.go.
-		if r, handled, err := d.owSummarize(gv, n); handled {
+		if r, handled, err := d.owSummarize(n); handled {
 			if err != nil {
 				return Summary{}, false, err
 			}
@@ -326,14 +273,14 @@ func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *
 			return r.summary(), true, nil
 		}
 	}
-	if !gv.hasLocalEdges(n) {
+	if !view.HasLocalEdges(n) {
 		//lint:allow scratchpin identity view is consumed before the next Summarize call
 		return Summary{Frontier: sc.Identity(n, fs, st)}, false, nil
 	}
 	key := pptaState{node: n, fs: fs, st: st}
 
-	if d.DisableCache {
-		r, err := runPPTA(gv, d.fields, key, d.cfg, bud, &d.metrics, sc)
+	if d.cfg.DisableCache {
+		r, err := runPPTA(view, d.fields, key, d.cfg, bud, &d.metrics, sc)
 		if err != nil {
 			return Summary{}, false, err
 		}
@@ -349,7 +296,7 @@ func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *
 		return r.summary(), true, nil
 	}
 	atomic.AddInt64(&d.metrics.CacheMisses, 1)
-	sum, err := runPPTAMemo(gv, d.fields, d.cache, key, d.cfg, bud, sc)
+	sum, err := runPPTAMemo(view, d.fields, d.cache, key, d.cfg, bud, sc)
 	if err != nil {
 		return Summary{}, false, err
 	}
@@ -432,7 +379,7 @@ func (d *DynSum) commitWriteBacks(sc *Scratch, computed int64) {
 				cur.frontier = d.intern.frontiers(cur.frontier)
 			}
 		}
-		sc.pendMeth = append(sc.pendMeth, sc.gv.nodeMethod(sc.pendKeys[i].node))
+		sc.pendMeth = append(sc.pendMeth, d.ov.Node(sc.pendKeys[i].node).Method)
 		sc.pendRes = append(sc.pendRes, cur)
 	}
 	sc.written += int64(d.cache.putBatch(sc.pendKeys, sc.pendMeth, sc.pendRes))

@@ -170,6 +170,7 @@ func TestDynSumFieldDepthCap(t *testing.T) {
 	b.NewObject(y, "o", cls)
 	b.Load(x, x, fld) // x = x.f
 	b.Load(x, y, fld) // x = y.f  (forces a path into the self-loop)
+	b.G.Freeze()
 	d := core.NewDynSum(b.G, core.Config{MaxFieldDepth: 8}, nil)
 	_, err := d.PointsTo(x)
 	if !errors.Is(err, core.ErrDepth) && !errors.Is(err, core.ErrBudget) {
@@ -197,8 +198,9 @@ func TestDynSumHeapContexts(t *testing.T) {
 
 func TestDynSumCacheDisable(t *testing.T) {
 	f := fixture.BuildFigure2()
-	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-	d.DisableCache = true
+	dCfg := core.Config{}
+	dCfg.DisableCache = true
+	d := core.NewDynSum(f.Prog.G, dCfg, nil)
 	if _, err := d.PointsTo(f.S1); err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +212,36 @@ func TestDynSumCacheDisable(t *testing.T) {
 	}
 	if d.Metrics().CacheHits != 0 {
 		t.Errorf("CacheHits = %d with cache disabled", d.Metrics().CacheHits)
+	}
+}
+
+// TestImportSummariesOtherMode: a summary snapshot written under the other
+// adjacency mode imports as a cold start when well-formed and still fails
+// when malformed.
+func TestImportSummariesOtherMode(t *testing.T) {
+	f := fixture.BuildFigure2()
+	src := core.NewDynSum(f.Prog.G, core.Config{}, nil)
+	if _, err := src.PointsTo(f.S1); err != nil {
+		t.Fatal(err)
+	}
+	snap := src.ExportSummaries()
+	if snap == nil || len(snap.Entries) == 0 {
+		t.Fatal("warm engine exported no summaries")
+	}
+
+	base := core.NewDynSum(f.Prog.G, core.Config{DisableCondense: true}, nil)
+	if err := base.ImportSummaries(snap); err != nil {
+		t.Fatalf("well-formed other-mode snapshot: %v", err)
+	}
+	if base.SummaryCount() != 0 {
+		t.Errorf("other-mode import left %d summaries, want a cold engine", base.SummaryCount())
+	}
+
+	bad := *snap
+	bad.StackSyms = append(bad.StackSyms[:len(bad.StackSyms):len(bad.StackSyms)], 0)
+	base = core.NewDynSum(f.Prog.G, core.Config{DisableCondense: true}, nil)
+	if err := base.ImportSummaries(&bad); err == nil {
+		t.Error("ragged other-mode snapshot imported without error")
 	}
 }
 
@@ -378,9 +410,10 @@ func TestAbortLeavesCacheByteIdentical(t *testing.T) {
 			if tc.depth {
 				cfg = core.Config{MaxFieldDepth: 8}
 			}
-			d := core.NewDynSum(g, cfg, nil)
-			d.DisableCache = tc.disableCache
-			d.DisableCondense = tc.disableCond
+			dCfg := cfg
+			dCfg.DisableCache = tc.disableCache
+			dCfg.DisableCondense = tc.disableCond
+			d := core.NewDynSum(g, dCfg, nil)
 
 			if _, err := d.PointsTo(warmVar); err != nil {
 				t.Fatalf("warm-up query failed: %v", err)
@@ -421,7 +454,6 @@ func TestAbortLeavesCacheByteIdentical(t *testing.T) {
 // repeated edit/invalidate cycles cannot leak index memory.
 func TestInvalidateMethodUsesIndex(t *testing.T) {
 	f := fixture.BuildFigure2()
-	f.Prog.G.Freeze()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	for _, q := range []pag.NodeID{f.S1, f.S2} {
 		if _, err := d.PointsTo(q); err != nil {
@@ -433,14 +465,14 @@ func TestInvalidateMethodUsesIndex(t *testing.T) {
 		t.Fatalf("method index holds %d keys, cache %d entries", got, total)
 	}
 	m := f.Prog.G.Node(f.TAdd).Method
-	dropped := d.InvalidateMethod(m)
+	dropped := core.InvalidateMethod(d, m)
 	if dropped == 0 {
 		t.Fatal("invalidation dropped nothing")
 	}
 	if got := d.SummaryCount(); got != total-dropped {
 		t.Errorf("SummaryCount = %d, want %d", got, total-dropped)
 	}
-	if d.InvalidateMethod(m) != 0 {
+	if core.InvalidateMethod(d, m) != 0 {
 		t.Error("second invalidation of the same method dropped entries")
 	}
 	// Re-warming repopulates both cache and index; answers stay correct.

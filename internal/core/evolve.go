@@ -15,11 +15,11 @@ import (
 // query path keeps its condensation, memoisation and zero-alloc warm
 // behaviour, only the summaries the epoch actually touched are recomputed.
 //
-// All three operations here are engine mutators: like ResetCache and
-// InvalidateMethod they must not race in-flight queries — quiesce the
-// engine first.
+// All three operations here are engine mutators: like ResetCache they
+// must not race in-flight queries — quiesce the engine first.
 
-// ErrNotEvolved is returned by Compact when the engine carries no overlay.
+// ErrNotEvolved is returned by Compact when no epoch has been applied
+// since construction or the last Compact.
 var ErrNotEvolved = errors.New("core: engine has no delta overlay to compact")
 
 // DeltaResult reports what one applied epoch did: the overlay-level
@@ -40,25 +40,9 @@ type DeltaResult struct {
 
 // NewDeltaLog starts a change log positioned at the engine's current
 // program: fill it with delta.Log's Add/Redefine methods and apply it with
-// ApplyDelta. The engine's graph must be frozen (mutable graphs take edits
-// directly and need no delta machinery).
+// ApplyDelta. The error is always nil; it is kept for callers that check.
 func (d *DynSum) NewDeltaLog() (*delta.Log, error) {
-	if err := d.ensureOverlay(); err != nil {
-		return nil, err
-	}
 	return d.ov.NewLog(), nil
-}
-
-func (d *DynSum) ensureOverlay() error {
-	if d.ov != nil {
-		return nil
-	}
-	ov, err := delta.NewOverlay(d.g)
-	if err != nil {
-		return err
-	}
-	d.ov = ov
-	return nil
 }
 
 // ApplyDelta applies one epoch of recorded program changes to the engine
@@ -79,19 +63,17 @@ func (d *DynSum) ApplyDelta(l *delta.Log) (res DeltaResult, err error) {
 	// re-applied.
 	defer func() {
 		if r := recover(); r != nil {
-			if d.ov != nil && d.ov.Broken() {
+			if d.ov.Broken() {
 				panic(r)
 			}
 			err = newMutatorPanicError("ApplyDelta", r)
 		}
 	}()
-	if err := d.ensureOverlay(); err != nil {
-		return DeltaResult{}, err
-	}
 	st, err := d.ov.Apply(l)
 	if err != nil {
 		return DeltaResult{}, err
 	}
+	d.resolveView()
 	res = DeltaResult{ApplyStats: st}
 	for _, m := range st.TouchedMethods {
 		res.InvalidatedSummaries += d.cache.deleteMethod(m)
@@ -115,8 +97,8 @@ func (d *DynSum) ApplyDelta(l *delta.Log) (res DeltaResult, err error) {
 // first). The summary cache is cleared — the fresh condensation may pick
 // different representatives, so representative-keyed entries cannot be
 // carried over; that occasional full re-warm is the cost the overlay
-// amortises across the epochs in between. Returns ErrNotEvolved when
-// there is no overlay.
+// amortises across the epochs in between. Returns ErrNotEvolved when no
+// epoch has been applied since construction or the last Compact.
 func (d *DynSum) Compact() (err error) {
 	// Quarantine boundary: Overlay.Compact builds the replacement graph
 	// entirely off to the side — the engine's graph, overlay and cache are
@@ -128,23 +110,27 @@ func (d *DynSum) Compact() (err error) {
 			err = newMutatorPanicError("Compact", r)
 		}
 	}()
-	if d.ov == nil {
+	if d.ov.Epoch() == 0 {
 		return ErrNotEvolved
 	}
 	g, err := d.ov.Compact()
 	if err != nil {
 		return err
 	}
-	d.g = g
-	d.ov = nil
+	ov, err := delta.NewOverlay(g)
+	if err != nil {
+		return err
+	}
+	d.g, d.ov = g, ov
+	d.resolveView()
 	d.cache.clear()
 	d.compactions++
 	d.refreshOpenWorld() // the blended frontiers referenced the old graph
 	return nil
 }
 
-// Overlay exposes the engine's delta overlay for statistics (nil when the
-// engine has never applied a delta, or right after a Compact).
+// Overlay exposes the engine's delta overlay for statistics (at epoch 0
+// when the engine has never applied a delta, or right after a Compact).
 func (d *DynSum) Overlay() *delta.Overlay { return d.ov }
 
 // Compactions returns how many times the engine merged its overlay back

@@ -43,7 +43,7 @@ func MethodIndexSize(d *DynSum) int {
 
 // DeleteIfMethod invalidates method m through the legacy full-scan path
 // (deleteIf), bypassing the per-method index — the baseline the
-// invalidation micro-benchmark compares InvalidateMethod against.
+// invalidation micro-benchmark compares the indexed path against.
 func DeleteIfMethod(d *DynSum, m pag.MethodID) int {
 	return d.cache.deleteIf(func(k pptaState) bool {
 		return d.g.Node(k.node).Method == m
@@ -87,3 +87,7 @@ func SnapshotMethod(d *DynSum, m pag.MethodID) []CacheEntry {
 	}
 	return out
 }
+
+// InvalidateMethod drops method m's summaries through the per-method key
+// index — the invalidation ApplyDelta performs for each touched method.
+func InvalidateMethod(d *DynSum, m pag.MethodID) int { return d.cache.deleteMethod(m) }

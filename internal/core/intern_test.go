@@ -97,11 +97,11 @@ func TestInternedAnswersMatchUncached(t *testing.T) {
 		prog := fixture.RandProgram(seed, fixture.RandConfig{
 			Methods: 5, Calls: 6, Globals: 2, GlobalAssigns: 3,
 		})
-		prog.G.Freeze()
 		cfg := Config{Budget: 200_000}
 		interned := NewDynSum(prog.G, cfg, nil)
-		plain := NewDynSum(prog.G, cfg, interned.Ctxs())
-		plain.DisableCache = true
+		plainCfg := cfg
+		plainCfg.DisableCache = true
+		plain := NewDynSum(prog.G, plainCfg, interned.Ctxs())
 		for pass := 0; pass < 2; pass++ { // second pass hits shared arrays
 			for _, v := range fixture.AllLocals(prog) {
 				a, errA := interned.PointsTo(v)
@@ -132,7 +132,6 @@ func TestDynSumInternsCachedSummaries(t *testing.T) {
 	t.Cleanup(func() { internMinSummaries = prev })
 
 	f := fixture.BuildFigure2()
-	f.Prog.G.Freeze()
 	d := NewDynSum(f.Prog.G, Config{}, nil)
 	for _, q := range []pag.NodeID{f.S1, f.S2} {
 		if _, err := d.PointsTo(q); err != nil {

@@ -40,7 +40,7 @@ import (
 // installed pre-freeze or through a delta epoch (ApplySpecs). A spec'd
 // method leaves the active set — its summaries are then *computed* by the
 // regular PPTA over the spec edges and cached, invalidated and evolved
-// exactly like any other summary, which is what keeps InvalidateMethod and
+// exactly like any other summary, which is what keeps per-method invalidation and
 // delta evolution composing unchanged.
 
 // OpenWorldPolicy selects how queries treat bodyless methods without specs.
@@ -174,7 +174,6 @@ func (d *DynSum) refreshOpenWorld() {
 	if ow == nil {
 		return
 	}
-	gv := graphView{g: d.g, cond: d.condensation(), ov: d.ov}
 	marked := d.g.BodylessMethods()
 	active := make(map[pag.MethodID]*pptaResult, len(marked))
 	for _, m := range marked {
@@ -182,7 +181,7 @@ func (d *DynSum) refreshOpenWorld() {
 			continue
 		}
 		info, _ := d.g.Bodyless(m)
-		if owHasBody(gv, info) {
+		if owHasBody(d.view, info) {
 			continue // a delta provided a real body: exact answers resume
 		}
 		active[m] = &pptaResult{objs: []pag.NodeID{info.BlobObj}}
@@ -191,63 +190,63 @@ func (d *DynSum) refreshOpenWorld() {
 	// node (touches a global edge) continues in the directions the driver
 	// can expand. Bodyless nodes have no local edges, so each is its own
 	// SCC representative and the frontier is valid under both adjacencies.
-	total := gv.numNodes()
+	total := d.ov.NumNodes()
 	for i := 0; i < total; i++ {
 		id := pag.NodeID(i)
-		r, ok := active[gv.nodeMethod(id)]
+		r, ok := active[d.ov.Node(id).Method]
 		if !ok {
 			continue
 		}
-		if gv.hasGlobalIn(id) {
+		if d.view.HasGlobalIn(id) {
 			r.frontier = append(r.frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S1})
 		}
-		if gv.hasGlobalOut(id) {
+		if d.view.HasGlobalOut(id) {
 			r.frontier = append(r.frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S2})
 		}
 	}
 	ow.active = active
 	ow.pess = nil
 	if ow.policy == PolicyPessimistic {
-		ow.pess = buildPessimistic(gv, d.g, active)
+		ow.pess = d.buildPessimistic(active)
 	}
 }
 
 // owHasBody reports whether a marked-bodyless method has (re)gained local
 // edges on its recorded interface — a spec lowering or a delta-delivered
 // body — and must leave blended treatment.
-func owHasBody(gv graphView, info pag.BodylessInfo) bool {
+func owHasBody(view *pag.View, info pag.BodylessInfo) bool {
 	for _, f := range info.Formals {
-		if f != pag.NoNode && gv.hasLocalEdges(f) {
+		if f != pag.NoNode && view.HasLocalEdges(f) {
 			return true
 		}
 	}
-	if info.Ret != pag.NoNode && gv.hasLocalEdges(info.Ret) {
+	if info.Ret != pag.NoNode && view.HasLocalEdges(info.Ret) {
 		return true
 	}
-	return gv.hasLocalEdges(info.BlobVar) || gv.hasLocalEdges(info.BlobObj)
+	return view.HasLocalEdges(info.BlobVar) || view.HasLocalEdges(info.BlobObj)
 }
 
 // buildPessimistic unions every active blended summary and adds the
 // ⊤-frontier over all global variables (unknown code may read or write any
 // static). Deterministic: methods in ascending order, nodes in scan order.
-func buildPessimistic(gv graphView, g *pag.Graph, active map[pag.MethodID]*pptaResult) *pptaResult {
+func (d *DynSum) buildPessimistic(active map[pag.MethodID]*pptaResult) *pptaResult {
 	p := &pptaResult{}
-	for _, m := range g.BodylessMethods() {
+	for _, m := range d.g.BodylessMethods() {
 		if r, ok := active[m]; ok {
 			p.objs = append(p.objs, r.objs...)
 			p.frontier = append(p.frontier, r.frontier...)
 		}
 	}
-	total := gv.numNodes()
+	total := d.ov.NumNodes()
 	for i := 0; i < total; i++ {
 		id := pag.NodeID(i)
-		if gv.nodeKind(id) != pag.Global {
+		if d.ov.Node(id).Kind != pag.Global {
 			continue
 		}
-		if gv.hasGlobalIn(id) {
+		if d.view.HasGlobalIn(id) {
 			p.frontier = append(p.frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S1})
 		}
-		if gv.hasGlobalOut(id) {
+		if d.view.HasGlobalOut(id) {
 			p.frontier = append(p.frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S2})
 		}
 	}
@@ -257,22 +256,16 @@ func buildPessimistic(gv graphView, g *pag.Graph, active map[pag.MethodID]*pptaR
 // owSummarize serves the open-world summary for a state at node n, already
 // rep-mapped. handled is false when n's method is not actively bodyless —
 // the caller proceeds with the closed-world path.
-func (d *DynSum) owSummarize(gv graphView, n pag.NodeID) (r *pptaResult, handled bool, err error) {
+func (d *DynSum) owSummarize(n pag.NodeID) (r *pptaResult, handled bool, err error) {
 	ow := d.ow
-	m := gv.nodeMethod(n)
+	m := d.ov.Node(n).Method
 	r, ok := ow.active[m]
 	if !ok {
 		return nil, false, nil
 	}
 	switch ow.policy {
 	case PolicySpecOnly:
-		name := ""
-		if int(m) < d.g.NumMethods() {
-			name = d.g.MethodInfo(m).Name
-		} else if d.ov != nil {
-			name = d.ov.MethodInfo(m).Name
-		}
-		return nil, true, &NoSpecError{Method: m, Name: name}
+		return nil, true, &NoSpecError{Method: m, Name: d.ov.MethodInfo(m).Name}
 	case PolicyPessimistic:
 		return ow.pess, true, nil
 	}

@@ -94,9 +94,10 @@ func (fx *owFixture) strippedEngine(t *testing.T, mode engineMode, policy core.O
 		t.Fatalf("StripBodies: %v", err)
 	}
 	stripped.Freeze()
-	d := core.NewDynSum(stripped, core.Config{}, nil)
-	d.DisableCache = mode.noCache
-	d.DisableCondense = mode.noCondense
+	dCfg := core.Config{}
+	dCfg.DisableCache = mode.noCache
+	dCfg.DisableCondense = mode.noCondense
+	d := core.NewDynSum(stripped, dCfg, nil)
 	d.EnableOpenWorld(policy)
 	return stripped, d
 }

@@ -43,20 +43,15 @@ type SummarySnapshot struct {
 // ExportSummaries captures the engine's summary cache for a snapshot.
 // Like every mutator-adjacent operation here, quiesce the engine first:
 // the export reads the shards without a global freeze, so concurrent
-// inserts may or may not be included. Returns nil when the cache is cold
-// (nothing worth persisting).
+// inserts may or may not be included. Returns nil when the cache holds no
+// entry (nothing worth persisting).
 func (d *DynSum) ExportSummaries() *SummarySnapshot {
-	mode := d.cacheMode.Load()
-	if mode == 0 {
-		return nil
-	}
-	s := &SummarySnapshot{CacheMode: mode}
+	s := &SummarySnapshot{CacheMode: d.cacheMode()}
 	for id := intstack.ID(1); int(id) <= d.fields.Len(); id++ {
 		sym, _ := d.fields.Peek(id)
 		s.StackParents = append(s.StackParents, int32(d.fields.Pop(id)))
 		s.StackSyms = append(s.StackSyms, sym)
 	}
-	gv := graphView{g: d.g, ov: d.ov}
 	for i := range d.cache.shards {
 		sh := &d.cache.shards[i]
 		sh.mu.RLock()
@@ -65,7 +60,7 @@ func (d *DynSum) ExportSummaries() *SummarySnapshot {
 				Node:     k.node,
 				Fs:       k.fs,
 				St:       uint8(k.st),
-				Method:   gv.nodeMethod(k.node),
+				Method:   d.ov.Node(k.node).Method,
 				Objs:     r.objs,
 				Frontier: r.frontier,
 			})
@@ -100,19 +95,14 @@ func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
 			len(s.StackParents), len(s.StackSyms))
 	}
 	for i := range s.StackParents {
-		parent := intstack.ID(s.StackParents[i])
-		if parent < 0 || int(parent) > i {
+		if parent := s.StackParents[i]; parent < 0 || int(parent) > i {
 			return fmt.Errorf("core: summary snapshot stack cell %d has forward parent %d", i+1, parent)
 		}
 		if s.StackSyms[i] < 0 {
 			return fmt.Errorf("core: summary snapshot stack cell %d has negative symbol", i+1)
 		}
-		if got := d.fields.Push(parent, s.StackSyms[i]); got != intstack.ID(i+1) {
-			return fmt.Errorf("core: summary snapshot stack cell %d re-interned as %d", i+1, got)
-		}
 	}
-	gv := graphView{g: d.g, ov: d.ov}
-	numNodes := gv.numNodes()
+	numNodes := d.ov.NumNodes()
 	maxFs := intstack.ID(len(s.StackParents))
 	for i, e := range s.Entries {
 		if e.Node < 0 || int(e.Node) >= numNodes {
@@ -124,9 +114,9 @@ func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
 		if e.St > uint8(S2) {
 			return fmt.Errorf("core: summary snapshot entry %d has invalid state %d", i, e.St)
 		}
-		if e.Method != gv.nodeMethod(e.Node) {
+		if m := d.ov.Node(e.Node).Method; e.Method != m {
 			return fmt.Errorf("core: summary snapshot entry %d files node %d under method %d, graph says %d",
-				i, e.Node, e.Method, gv.nodeMethod(e.Node))
+				i, e.Node, e.Method, m)
 		}
 		for _, o := range e.Objs {
 			if o < 0 || int(o) >= numNodes {
@@ -145,12 +135,31 @@ func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
 			}
 		}
 	}
+	if s.CacheMode != d.cacheMode() {
+		// Well-formed but written under the other adjacency mode: its keys
+		// mean nothing here, so the engine starts cold, as a fresh one
+		// would.
+		return nil
+	}
+	for i := range s.StackParents {
+		if got := d.fields.Push(intstack.ID(s.StackParents[i]), s.StackSyms[i]); got != intstack.ID(i+1) {
+			return fmt.Errorf("core: summary snapshot stack cell %d re-interned as %d", i+1, got)
+		}
+	}
 	for _, e := range s.Entries {
 		r := &pptaResult{objs: e.Objs, frontier: e.Frontier}
 		r.objs = d.intern.objects(r.objs)
 		r.frontier = d.intern.frontiers(r.frontier)
 		d.cache.put(pptaState{node: e.Node, fs: e.Fs, st: State(e.St)}, e.Method, r)
 	}
-	d.cacheMode.Store(s.CacheMode)
 	return nil
+}
+
+// cacheMode names the adjacency mode that keys the engine's summaries in
+// a snapshot: 1 condensed, 2 base.
+func (d *DynSum) cacheMode() int32 {
+	if d.cfg.DisableCondense {
+		return 2
+	}
+	return 1
 }

@@ -216,7 +216,7 @@ func (sc *Scratch) resultViews(r int32) ([]pag.NodeID, []FrontierState) {
 // bud; depth overflow and budget exhaustion abort the whole query. The
 // returned result is freshly allocated at exactly the needed size.
 //
-// With a condensed view (gv.cond != nil) start.node must be an SCC
+// With a condensed view start.node must be an SCC
 // representative and the traversal stays on representatives: condensed
 // edges carry rep-mapped endpoints, frontier detection reads the
 // aggregated member flags, and emitted frontier nodes are representatives
@@ -224,7 +224,7 @@ func (sc *Scratch) resultViews(r int32) ([]pag.NodeID, []FrontierState) {
 // member has the identical local closure, so the result (objects and the
 // reachable frontier set) is byte-identical to the uncondensed run; only
 // the states visited and edges traversed shrink.
-func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, bud *Budget, m *Metrics, sc *Scratch) (*pptaResult, error) {
+func runPPTA(view *pag.View, fields *intstack.Table, start pptaState, cfg Config, bud *Budget, m *Metrics, sc *Scratch) (*pptaResult, error) {
 	sc.resetPPTA()
 	sc.pushPPTA(start)
 
@@ -238,10 +238,10 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 		case S1:
 			// Frontier: a global edge flows into cur.node
 			// (Algorithm 3, lines 15-16).
-			if gv.hasGlobalIn(cur.node) {
+			if view.HasGlobalIn(cur.node) {
 				sc.frBuf = append(sc.frBuf, FrontierState{Node: cur.node, Fs: cur.fs, St: cur.st})
 			}
-			for _, e := range gv.localIn(cur.node) {
+			for _, e := range view.LocalIn(cur.node) {
 				if !bud.Step() {
 					return nil, bud.Err()
 				}
@@ -256,7 +256,7 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 						// variable it is assigned to and flip direction.
 						// (⊤ both emits and hops: it simulates the empty
 						// stack and every non-empty one at once.)
-						for _, e2 := range gv.localOut(e.Src) {
+						for _, e2 := range view.LocalOut(e.Src) {
 							if e2.Kind == pag.New {
 								sc.pushPPTA(pptaState{node: e2.Dst, fs: cur.fs, st: S2})
 							}
@@ -276,10 +276,10 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 		case S2:
 			// Frontier: a global edge flows out of cur.node
 			// (Algorithm 3, lines 28-29).
-			if gv.hasGlobalOut(cur.node) {
+			if view.HasGlobalOut(cur.node) {
 				sc.frBuf = append(sc.frBuf, FrontierState{Node: cur.node, Fs: cur.fs, St: cur.st})
 			}
-			for _, e := range gv.localOut(cur.node) {
+			for _, e := range view.LocalOut(cur.node) {
 				if !bud.Step() {
 					return nil, bud.Err()
 				}
@@ -301,7 +301,7 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 					sc.pushPPTA(pptaState{node: e.Dst, fs: fs, st: S1})
 				}
 			}
-			for _, e := range gv.localIn(cur.node) {
+			for _, e := range view.LocalIn(cur.node) {
 				if e.Kind != pag.Store {
 					continue
 				}
@@ -334,7 +334,7 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 // (objects emitted at s, the frontier flag), and registers the new state
 // record. The caller decides whether to descend (expanded states) — splice
 // records never come through here.
-func (sc *Scratch) memoExpand(gv graphView, fields *intstack.Table, s pptaState, cfg Config, bud *Budget) (int32, error) {
+func (sc *Scratch) memoExpand(view *pag.View, fields *intstack.Table, s pptaState, cfg Config, bud *Budget) (int32, error) {
 	succOff := int32(len(sc.msucc))
 	ownOff := int32(len(sc.mOwnObj))
 	frontier := false
@@ -343,8 +343,8 @@ func (sc *Scratch) memoExpand(gv graphView, fields *intstack.Table, s pptaState,
 
 	switch s.st {
 	case S1:
-		frontier = gv.hasGlobalIn(s.node)
-		for _, e := range gv.localIn(s.node) {
+		frontier = view.HasGlobalIn(s.node)
+		for _, e := range view.LocalIn(s.node) {
 			if !bud.Step() {
 				return 0, bud.Err()
 			}
@@ -356,7 +356,7 @@ func (sc *Scratch) memoExpand(gv graphView, fields *intstack.Table, s pptaState,
 				}
 				if s.fs != intstack.Empty {
 					// ⊤ both emits and hops, like the flat path.
-					for _, e2 := range gv.localOut(e.Src) {
+					for _, e2 := range view.LocalOut(e.Src) {
 						if e2.Kind == pag.New {
 							sc.msucc = append(sc.msucc, pptaState{node: e2.Dst, fs: s.fs, st: S2})
 						}
@@ -374,8 +374,8 @@ func (sc *Scratch) memoExpand(gv graphView, fields *intstack.Table, s pptaState,
 		}
 
 	case S2:
-		frontier = gv.hasGlobalOut(s.node)
-		for _, e := range gv.localOut(s.node) {
+		frontier = view.HasGlobalOut(s.node)
+		for _, e := range view.LocalOut(s.node) {
 			if !bud.Step() {
 				return 0, bud.Err()
 			}
@@ -395,7 +395,7 @@ func (sc *Scratch) memoExpand(gv graphView, fields *intstack.Table, s pptaState,
 				sc.msucc = append(sc.msucc, pptaState{node: e.Dst, fs: fs, st: S1})
 			}
 		}
-		for _, e := range gv.localIn(s.node) {
+		for _, e := range view.LocalIn(s.node) {
 			if e.Kind != pag.Store {
 				continue
 			}
@@ -524,9 +524,9 @@ func (sc *Scratch) completeSCC(root int32, fields *intstack.Table, cfg Config) {
 //
 // On error (budget/depth) the pending write-backs are discarded: a partial
 // traversal proves nothing about any state's complete closure.
-func runPPTAMemo(gv graphView, fields *intstack.Table, cache *summaryCache, start pptaState, cfg Config, bud *Budget, sc *Scratch) (Summary, error) {
+func runPPTAMemo(view *pag.View, fields *intstack.Table, cache *summaryCache, start pptaState, cfg Config, bud *Budget, sc *Scratch) (Summary, error) {
 	sc.resetMemo()
-	rootIdx, err := sc.memoExpand(gv, fields, start, cfg, bud)
+	rootIdx, err := sc.memoExpand(view, fields, start, cfg, bud)
 	if err != nil {
 		sc.discardPending()
 		sc.dropMemoRefs()
@@ -564,7 +564,7 @@ func runPPTAMemo(gv graphView, fields *intstack.Table, cache *summaryCache, star
 				sc.spliced++
 				continue
 			}
-			idx, err := sc.memoExpand(gv, fields, t, cfg, bud)
+			idx, err := sc.memoExpand(view, fields, t, cfg, bud)
 			if err != nil {
 				sc.discardPending()
 				sc.dropMemoRefs()

@@ -23,7 +23,7 @@ func NewPointsToSet() *PointsToSet {
 }
 
 // Reset empties the set in place, retaining the map's buckets so refilling
-// it does not allocate. The reuse device behind DynSum.PointsToInto's
+// it does not allocate. The reuse device behind DynSum.Query's
 // zero-allocation warm path.
 func (s *PointsToSet) Reset() { clear(s.m) }
 

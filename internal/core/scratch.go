@@ -284,15 +284,14 @@ func (v *visitSet2) rehash() {
 
 // Scratch is the reusable workspace of one in-flight query. It is not
 // safe for concurrent use; acquire one per query via the internal pool
-// (RunDriver and DynSum.PointsToCtxInto do this automatically).
+// (RunDriver and DynSum.Query do this automatically).
 type Scratch struct {
 	// bud is the query budget, embedded so budget setup allocates nothing.
 	bud Budget
 
-	// gv is the query's graph view (base or condensed adjacency),
-	// resolved once by the driver so Summarize implementations read it
-	// with a field load instead of re-deriving it per tuple.
-	gv graphView
+	// view is the querying engine's adjacency, set once by the driver so
+	// Summarize implementations read it with a field load.
+	view *pag.View
 
 	// Batched work counters, flushed into the engine's Metrics once per
 	// query instead of one atomic add per traversed edge.
@@ -416,14 +415,14 @@ func putScratch(sc *Scratch, nodes int) {
 	// here would memset large pooled buffers on every warm query.)
 	// The budget is zeroed for the same reason: an armed budget holds the
 	// query's context.
-	sc.gv = graphView{}
+	sc.view = nil
 	sc.bud = Budget{}
 	sc.trim(retainLimit(nodes))
 	scratchPool.Put(sc)
 }
 
 // quarantineRelease is the query path's single pool-return point,
-// deferred by every entry that borrows a Scratch (DynSum.pointsToInto,
+// deferred by every entry that borrows a Scratch (DynSum.query,
 // RunDriver) around the traversal. On normal return — the entry marked
 // sc.completed after the traversal came back, error aborts included —
 // it recycles the scratch. On panic it recovers, reports the query as

@@ -196,27 +196,16 @@ func (o *Overlay) stage(l *Log) staged {
 	// Dropped edges: everything owned by a redefined method. The
 	// pre-epoch methodNodes index is complete for them — validate
 	// guarantees redefined methods pre-exist, and the log's own nodes
-	// carry no base edges.
+	// carry no base edges. Staging writes nothing, so the published view
+	// serves throughout.
+	bv := o.baseView
 	for _, m := range l.redefined {
 		for _, n := range o.methodNodes[m] {
-			for _, e := range o.baseLocalOut(n) {
-				if o.ownerMethod(e) == m {
-					st.dropped[e] = true
-				}
-			}
-			for _, e := range o.baseGlobalOut(n) {
-				if o.ownerMethod(e) == m {
-					st.dropped[e] = true
-				}
-			}
-			for _, e := range o.baseLocalIn(n) {
-				if o.ownerMethod(e) == m {
-					st.dropped[e] = true
-				}
-			}
-			for _, e := range o.baseGlobalIn(n) {
-				if o.ownerMethod(e) == m {
-					st.dropped[e] = true
+			for _, sp := range [4][]pag.Edge{bv.LocalOut(n), bv.GlobalOut(n), bv.LocalIn(n), bv.GlobalIn(n)} {
+				for _, e := range sp {
+					if o.ownerMethod(e) == m {
+						st.dropped[e] = true
+					}
 				}
 			}
 		}
@@ -231,7 +220,7 @@ func (o *Overlay) stage(l *Log) staged {
 			continue
 		}
 		logSeen[e] = true
-		if !st.dropped[e] && int(e.Src) < preNodes && o.hasEdgeBase(e) {
+		if !st.dropped[e] && int(e.Src) < preNodes && hasEdge(bv, e) {
 			continue
 		}
 		if st.dropped[e] {
@@ -261,11 +250,11 @@ func (o *Overlay) stage(l *Log) staged {
 		// The flag checks read the pre-rebuild state, so several edges
 		// into one node all see the flip; flipped dedups the count per
 		// node (markTouched is idempotent anyway).
-		if int(e.Src) < preNodes && !o.HasGlobalOut(e.Src, false) {
+		if int(e.Src) < preNodes && !bv.HasGlobalOut(e.Src) {
 			flipped[e.Src] = true
 			markTouched(nodeMethod(e.Src))
 		}
-		if int(e.Dst) < preNodes && !o.HasGlobalIn(e.Dst, false) {
+		if int(e.Dst) < preNodes && !bv.HasGlobalIn(e.Dst) {
 			flipped[e.Dst] = true
 			markTouched(nodeMethod(e.Dst))
 		}
@@ -348,12 +337,16 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 		o.methodNodes = append(o.methodNodes, nil)
 	}
 	o.addedCallSites = append(o.addedCallSites, l.callSites...)
+	// Added nodes join both views patched with empty adjacency (the base
+	// CSR does not cover them); step 4/5 fill in their edges.
 	for i, nd := range l.nodes {
 		id := pag.NodeID(preNodes + i)
 		o.addedNodes = append(o.addedNodes, nd)
-		o.patchBase = append(o.patchBase, -1)
-		o.patchCond = append(o.patchCond, -1)
+		o.patchBase = append(o.patchBase, int32(len(o.baseAdj)))
+		o.baseAdj = append(o.baseAdj, pag.NodeAdj{})
 		if o.rep != nil {
+			o.patchCond = append(o.patchCond, int32(len(o.condAdj)))
+			o.condAdj = append(o.condAdj, pag.NodeAdj{})
 			o.rep = append(o.rep, id)
 		}
 		if nd.Method != pag.NoMethod {
@@ -377,9 +370,12 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 	}
 	o.dissolvedSCCs += len(st.dissolve)
 
-	// 4. Base-view rebuild of the patch set.
+	// 4. Base-view rebuild of the patch set. One view, taken after the
+	// added nodes joined, serves the loop: each node is rebuilt once and
+	// reads only its own adjacency, which no earlier rebuild changed.
+	bv := o.liveBase()
 	for _, n := range sortedNodes(st.patch) {
-		o.rebuildBase(n, st.dropped, st.addedOut[n], st.addedIn[n])
+		o.rebuildBase(bv, n, st.dropped, st.addedOut[n], st.addedIn[n])
 	}
 
 	// 5. Condensation repair, part 2: rebuild the condensed spans whose
@@ -401,18 +397,19 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 				condSet[o.rep[n]] = true
 			}
 		}
+		bv := o.liveBase() // step 4's result; this step writes only condensed tables
 		for _, d := range dissolved {
-			for _, e := range o.baseGlobalOut(d) {
+			for _, e := range bv.GlobalOut(d) {
 				condSet[o.rep[e.Dst]] = true
 			}
-			for _, e := range o.baseGlobalIn(d) {
+			for _, e := range bv.GlobalIn(d) {
 				condSet[o.rep[e.Src]] = true
 			}
 			// Local neighbours live in the same (dissolved) method and are
 			// already in condSet via the localMethods loop.
 		}
 		for _, r := range sortedNodes(condSet) {
-			o.rebuildCond(r)
+			o.rebuildCond(bv, r)
 		}
 		rebuilt = len(condSet)
 		o.rebuiltReps += rebuilt
@@ -426,6 +423,7 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 		}
 	}
 	o.epoch++
+	o.publish()
 
 	stats := ApplyStats{
 		Epoch:            o.epoch,
@@ -456,11 +454,11 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 	return stats
 }
 
-// rebuildBase installs n's base-view replacement adjacency: current edges
-// minus dropped plus the epoch's additions, partition preserved. Order is
+// rebuildBase installs n's base-view replacement adjacency: its edges in
+// bv minus dropped plus the epoch's additions, partition preserved. Order is
 // deterministic: surviving edges keep their relative order, added edges
 // append in log order within their partition half.
-func (o *Overlay) rebuildBase(n pag.NodeID, dropped map[pag.Edge]bool, addOut, addIn []pag.Edge) {
+func (o *Overlay) rebuildBase(bv *pag.View, n pag.NodeID, dropped map[pag.Edge]bool, addOut, addIn []pag.Edge) {
 	build := func(localCur, globalCur, adds []pag.Edge) (edges []pag.Edge, split int32) {
 		for _, e := range localCur {
 			if !dropped[e] {
@@ -485,26 +483,26 @@ func (o *Overlay) rebuildBase(n pag.NodeID, dropped map[pag.Edge]bool, addOut, a
 		}
 		return edges, split
 	}
-	var a patchAdj
-	a.out, a.outSplit = build(o.baseLocalOut(n), o.baseGlobalOut(n), addOut)
-	a.in, a.inSplit = build(o.baseLocalIn(n), o.baseGlobalIn(n), addIn)
+	var a pag.NodeAdj
+	a.Out, a.OutSplit = build(bv.LocalOut(n), bv.GlobalOut(n), addOut)
+	a.In, a.InSplit = build(bv.LocalIn(n), bv.GlobalIn(n), addIn)
 
 	if p := o.patchBase[n]; p >= 0 {
-		o.overlayEdges += len(a.out) - len(o.baseAdj[p].out)
+		o.overlayEdges += len(a.Out) - len(o.baseAdj[p].Out)
 		o.baseAdj[p] = a
 		return
 	}
 	o.patchBase[n] = int32(len(o.baseAdj))
 	o.baseAdj = append(o.baseAdj, a)
-	o.overlayEdges += len(a.out)
+	o.overlayEdges += len(a.Out)
 }
 
 // rebuildCond installs representative r's condensed-view adjacency: the
-// union of its surviving members' current base-view edges with endpoints
+// union of its surviving members' edges in the base view bv with endpoints
 // mapped through the repaired rep function, intra-SCC assign self-loops
 // removed and duplicates merged — exactly the freeze-time gather, run on
 // one representative.
-func (o *Overlay) rebuildCond(r pag.NodeID) {
+func (o *Overlay) rebuildCond(bv *pag.View, r pag.NodeID) {
 	members := o.groups[r]
 	if members == nil {
 		members = []pag.NodeID{r}
@@ -515,11 +513,9 @@ func (o *Overlay) rebuildCond(r pag.NodeID) {
 	gather := func(in bool) (edges []pag.Edge, split int32) {
 		var locals, globals []pag.Edge
 		for _, mb := range members {
-			var loc, glob []pag.Edge
+			loc, glob := bv.LocalOut(mb), bv.GlobalOut(mb)
 			if in {
-				loc, glob = o.baseLocalIn(mb), o.baseGlobalIn(mb)
-			} else {
-				loc, glob = o.baseLocalOut(mb), o.baseGlobalOut(mb)
+				loc, glob = bv.LocalIn(mb), bv.GlobalIn(mb)
 			}
 			for _, e := range loc {
 				me := mapEdge(e)
@@ -537,9 +533,9 @@ func (o *Overlay) rebuildCond(r pag.NodeID) {
 		edges = append(locals, globals...)
 		return edges, int32(len(locals))
 	}
-	var a patchAdj
-	a.out, a.outSplit = gather(false)
-	a.in, a.inSplit = gather(true)
+	var a pag.NodeAdj
+	a.Out, a.OutSplit = gather(false)
+	a.In, a.InSplit = gather(true)
 
 	if p := o.patchCond[r]; p >= 0 {
 		o.condAdj[p] = a
@@ -587,11 +583,12 @@ func (o *Overlay) Compact() (*pag.Graph, error) {
 	// an abort here (or anywhere else in the rebuild) must leave the
 	// pre-compaction engine fully usable.
 	faultinject.Fire(faultinject.CompactRebuild)
+	bv := o.BaseView()
 	for n := 0; n < total; n++ {
-		for _, e := range o.baseLocalOut(pag.NodeID(n)) {
+		for _, e := range bv.LocalOut(pag.NodeID(n)) {
 			ng.AddEdge(e)
 		}
-		for _, e := range o.baseGlobalOut(pag.NodeID(n)) {
+		for _, e := range bv.GlobalOut(pag.NodeID(n)) {
 			ng.AddEdge(e)
 		}
 	}

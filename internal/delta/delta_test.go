@@ -73,16 +73,18 @@ func checkBaseViewMatches(t *testing.T, tag string, o *Overlay, ref *pag.Graph) 
 	if o.NumNodes() != ref.NumNodes() {
 		t.Fatalf("%s: overlay has %d nodes, reference %d", tag, o.NumNodes(), ref.NumNodes())
 	}
+	ref.Freeze()
+	bv := o.BaseView()
 	for n := 0; n < ref.NumNodes(); n++ {
 		id := pag.NodeID(n)
 		pairs := []struct {
 			name     string
 			ov, want []pag.Edge
 		}{
-			{"localOut", o.LocalOut(id, false), ref.LocalOut(id)},
-			{"globalOut", o.GlobalOut(id, false), ref.GlobalOut(id)},
-			{"localIn", o.LocalIn(id, false), ref.LocalIn(id)},
-			{"globalIn", o.GlobalIn(id, false), ref.GlobalIn(id)},
+			{"localOut", bv.LocalOut(id), ref.LocalOut(id)},
+			{"globalOut", bv.GlobalOut(id), ref.GlobalOut(id)},
+			{"localIn", bv.LocalIn(id), ref.LocalIn(id)},
+			{"globalIn", bv.GlobalIn(id), ref.GlobalIn(id)},
 		}
 		for _, p := range pairs {
 			got, want := edgeSet(p.ov), edgeSet(p.want)
@@ -228,7 +230,7 @@ func TestRedefineDropsOwnedEdges(t *testing.T) {
 
 	// B's formal lost its only inbound entry edge; span-derived flags see
 	// that exactly.
-	if ov.HasGlobalIn(fx.p, false) {
+	if bv := ov.BaseView(); bv.HasGlobalIn(fx.p) {
 		t.Errorf("p still reports an inbound global edge after the caller was redefined")
 	}
 }
@@ -290,12 +292,13 @@ func TestCondensedViewRepair(t *testing.T) {
 	if st.DissolvedSCCs != 1 {
 		t.Fatalf("DissolvedSCCs = %d, want 1", st.DissolvedSCCs)
 	}
+	cv := ov.CondView()
 	for _, n := range []pag.NodeID{fx.a, fx.b, fx.c, t3} {
-		if got := ov.Rep(n); got != n {
+		if got := cv.Rep(n); got != n {
 			t.Errorf("Rep(%d) = %d after dissolution, want identity", n, got)
 		}
 	}
-	if ov.Rep(fx.p) != cond.Rep(fx.p) {
+	if cv.Rep(fx.p) != cond.Rep(fx.p) {
 		t.Errorf("untouched method's rep changed")
 	}
 	// Every condensed-view endpoint must be a current representative, and
@@ -303,19 +306,19 @@ func TestCondensedViewRepair(t *testing.T) {
 	// nodes (modulo rep-mapping, which is identity there).
 	for n := 0; n < ov.NumNodes(); n++ {
 		id := pag.NodeID(n)
-		if ov.Rep(id) != id {
+		if cv.Rep(id) != id {
 			continue
 		}
-		for _, e := range ov.LocalOut(id, true) {
-			if ov.Rep(e.Src) != e.Src || ov.Rep(e.Dst) != e.Dst {
+		for _, e := range cv.LocalOut(id) {
+			if cv.Rep(e.Src) != e.Src || cv.Rep(e.Dst) != e.Dst {
 				t.Errorf("condensed edge %v has non-representative endpoint", e)
 			}
 			if e.Kind == pag.Assign && e.Src == e.Dst {
 				t.Errorf("condensed self-loop %v survived", e)
 			}
 		}
-		for _, e := range ov.GlobalOut(id, true) {
-			if ov.Rep(e.Src) != e.Src || ov.Rep(e.Dst) != e.Dst {
+		for _, e := range cv.GlobalOut(id) {
+			if cv.Rep(e.Src) != e.Src || cv.Rep(e.Dst) != e.Dst {
 				t.Errorf("condensed global edge %v has non-representative endpoint", e)
 			}
 		}
@@ -401,12 +404,13 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatalf("base graph metadata mutated: %d methods, %d call sites",
 			fx.g.NumMethods(), fx.g.NumCallSites())
 	}
+	bv := ov.BaseView()
 	for n := 0; n < ng.NumNodes(); n++ {
 		id := pag.NodeID(n)
-		if got, want := edgeSet(ng.LocalOut(id)), edgeSet(ov.LocalOut(id, false)); !slices.Equal(got, want) {
+		if got, want := edgeSet(ng.LocalOut(id)), edgeSet(bv.LocalOut(id)); !slices.Equal(got, want) {
 			t.Errorf("compacted node %d localOut %v != overlay %v", n, got, want)
 		}
-		if got, want := edgeSet(ng.GlobalOut(id)), edgeSet(ov.GlobalOut(id, false)); !slices.Equal(got, want) {
+		if got, want := edgeSet(ng.GlobalOut(id)), edgeSet(bv.GlobalOut(id)); !slices.Equal(got, want) {
 			t.Errorf("compacted node %d globalOut %v != overlay %v", n, got, want)
 		}
 	}

@@ -17,12 +17,12 @@ import (
 // still partitioned local-first/global-last), and a dense patch table maps
 // node IDs to these entries with -1 for the untouched majority. An
 // adjacency read is therefore one array load and one predictable branch
-// away from the base layout — the same cost shape as the condensation
-// overlay, which is what lets core's graphView resolve both without the
-// engines changing.
+// away from the base layout: the overlay publishes each view as a
+// pag.View over the frozen arrays plus its patch table, and the engines
+// read nothing else.
 //
 // Two views are maintained, mirroring the two adjacency modes the engines
-// run in:
+// run in (BaseView and CondView):
 //
 //   - the base view: true node endpoints, used when condensation is
 //     disabled;
@@ -80,10 +80,13 @@ type Overlay struct {
 
 	// patchBase/patchCond index the per-view patched adjacency; -1 means
 	// the node reads the base (respectively freeze-time condensed) spans.
+	// Both are nil until the first epoch, so an overlay costs O(1) until
+	// it is used; from then on they cover every node, added ones included
+	// (an added node is patched, with empty adjacency, the moment it joins).
 	patchBase []int32
 	patchCond []int32
-	baseAdj   []patchAdj
-	condAdj   []patchAdj
+	baseAdj   []pag.NodeAdj
+	condAdj   []pag.NodeAdj
 
 	// rep is the repaired representative array (condensed view), covering
 	// every node; nil until the first epoch on a nontrivially-condensed
@@ -111,37 +114,34 @@ type Overlay struct {
 	dissolvedSCCs int // cumulative
 	rebuiltReps   int // cumulative
 
+	// baseView/condView are the current epoch's published views, rebuilt
+	// by NewOverlay and at the end of every commit (see publish).
+	baseView, condView *pag.View
+
 	// committing is held across Apply's commit phase: true means an epoch
 	// is (or was, if an abort escaped) mid-installation and the overlay's
 	// invariants cannot be trusted. See Broken.
 	committing bool
 }
 
-// patchAdj is one patched node's replacement adjacency: full out/in edge
-// lists partitioned local-first, with the split recorded — the same
-// contract as a CSR span.
-type patchAdj struct {
-	out, in           []pag.Edge
-	outSplit, inSplit int32
-}
-
-// NewOverlay starts an empty overlay (epoch 0) over a frozen graph.
+// NewOverlay starts an empty overlay (epoch 0) over a frozen graph. It is
+// O(1): the per-node tables are built by the first Apply.
 func NewOverlay(g *pag.Graph) (*Overlay, error) {
 	if !g.Frozen() {
-		return nil, fmt.Errorf("delta: overlay requires a frozen graph; mutable graphs take edits directly")
+		return nil, fmt.Errorf("delta: overlay requires a frozen graph; call Graph.Freeze (or Builder.Finish) first")
 	}
 	cond := g.Condensation()
-	return &Overlay{
+	o := &Overlay{
 		g:              g,
 		cond:           cond,
 		trivial:        cond == nil || cond.Trivial(),
 		baseNodes:      g.NumNodes(),
 		baseMethods:    g.NumMethods(),
 		baseCallSites:  g.NumCallSites(),
-		patchBase:      makeNegative(g.NumNodes()),
-		patchCond:      makeNegative(g.NumNodes()),
 		patchedMethods: make(map[pag.MethodID]bool),
-	}, nil
+	}
+	o.publish()
+	return o, nil
 }
 
 func makeNegative(n int) []int32 {
@@ -220,176 +220,34 @@ func (o *Overlay) IsNullObject(n pag.NodeID) bool {
 	return nd.Kind == pag.Object && nc != pag.NoClass && nd.Class == nc
 }
 
-// clampSpan returns edges[i:j] capacity-clamped, nil when empty —
-// matching the base accessors' read-only span contract.
-func clampSpan(edges []pag.Edge, i, j int32) []pag.Edge {
-	if i == j {
-		return nil
+// BaseView returns the current epoch's base adjacency: true node
+// endpoints, the frozen CSR spans with the patched nodes' replacements.
+func (o *Overlay) BaseView() *pag.View { return o.baseView }
+
+// CondView returns the current epoch's condensed adjacency: endpoints
+// mapped through the repaired representative function, the freeze-time
+// condensed spans with the repaired representatives' replacements. Over a
+// trivially-condensed base it is the base view.
+func (o *Overlay) CondView() *pag.View { return o.condView }
+
+// publish builds the views BaseView and CondView hand out for the current
+// epoch.
+func (o *Overlay) publish() {
+	o.baseView = o.liveBase()
+	switch {
+	case o.trivial:
+		o.condView = o.baseView
+	case o.rep == nil: // epoch 0: the freeze-time condensation as is
+		o.condView = o.cond.View()
+	default:
+		o.condView = o.cond.View().Patched(o.rep, o.patchCond, o.condAdj)
 	}
-	return edges[i:j:j]
 }
 
-// --- base view ---
-
-// The base accessors guard added-node IDs explicitly: an added node is
-// patched by the epoch that introduces it, but mid-Apply (dedup, drop
-// computation) and for edge-less additions the patch entry may not exist
-// yet, and the base graph's arrays do not cover the ID.
-
-func (o *Overlay) baseLocalOut(n pag.NodeID) []pag.Edge {
-	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return clampSpan(a.out, 0, a.outSplit)
-	}
-	if int(n) >= o.baseNodes {
-		return nil
-	}
-	return o.g.LocalOut(n)
-}
-
-func (o *Overlay) baseGlobalOut(n pag.NodeID) []pag.Edge {
-	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return clampSpan(a.out, a.outSplit, int32(len(a.out)))
-	}
-	if int(n) >= o.baseNodes {
-		return nil
-	}
-	return o.g.GlobalOut(n)
-}
-
-func (o *Overlay) baseLocalIn(n pag.NodeID) []pag.Edge {
-	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return clampSpan(a.in, 0, a.inSplit)
-	}
-	if int(n) >= o.baseNodes {
-		return nil
-	}
-	return o.g.LocalIn(n)
-}
-
-func (o *Overlay) baseGlobalIn(n pag.NodeID) []pag.Edge {
-	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return clampSpan(a.in, a.inSplit, int32(len(a.in)))
-	}
-	if int(n) >= o.baseNodes {
-		return nil
-	}
-	return o.g.GlobalIn(n)
-}
-
-// --- public view accessors; condensed selects the repaired condensation ---
-
-// LocalOut returns n's outgoing local edges under the requested view.
-func (o *Overlay) LocalOut(n pag.NodeID, condensed bool) []pag.Edge {
-	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return clampSpan(a.out, 0, a.outSplit)
-		}
-		return o.cond.LocalOut(n)
-	}
-	return o.baseLocalOut(n)
-}
-
-// GlobalOut returns n's outgoing global edges under the requested view.
-func (o *Overlay) GlobalOut(n pag.NodeID, condensed bool) []pag.Edge {
-	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return clampSpan(a.out, a.outSplit, int32(len(a.out)))
-		}
-		return o.cond.GlobalOut(n)
-	}
-	return o.baseGlobalOut(n)
-}
-
-// LocalIn returns n's incoming local edges under the requested view.
-func (o *Overlay) LocalIn(n pag.NodeID, condensed bool) []pag.Edge {
-	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return clampSpan(a.in, 0, a.inSplit)
-		}
-		return o.cond.LocalIn(n)
-	}
-	return o.baseLocalIn(n)
-}
-
-// GlobalIn returns n's incoming global edges under the requested view.
-func (o *Overlay) GlobalIn(n pag.NodeID, condensed bool) []pag.Edge {
-	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return clampSpan(a.in, a.inSplit, int32(len(a.in)))
-		}
-		return o.cond.GlobalIn(n)
-	}
-	return o.baseGlobalIn(n)
-}
-
-// HasGlobalIn reports the PPTA S1 frontier condition under the view.
-// Patched entries derive flags from span emptiness, which is exact for
-// the current edge set (drops included).
-func (o *Overlay) HasGlobalIn(n pag.NodeID, condensed bool) bool {
-	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return int(a.inSplit) < len(a.in)
-		}
-		return o.cond.HasGlobalIn(n)
-	}
-	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return int(a.inSplit) < len(a.in)
-	}
-	return int(n) < o.baseNodes && o.g.HasGlobalIn(n)
-}
-
-// HasGlobalOut reports the PPTA S2 frontier condition under the view.
-func (o *Overlay) HasGlobalOut(n pag.NodeID, condensed bool) bool {
-	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return int(a.outSplit) < len(a.out)
-		}
-		return o.cond.HasGlobalOut(n)
-	}
-	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return int(a.outSplit) < len(a.out)
-	}
-	return int(n) < o.baseNodes && o.g.HasGlobalOut(n)
-}
-
-// HasLocalEdges reports whether n touches any local edge under the view.
-func (o *Overlay) HasLocalEdges(n pag.NodeID, condensed bool) bool {
-	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return a.outSplit > 0 || a.inSplit > 0
-		}
-		return o.cond.HasLocalEdges(n)
-	}
-	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return a.outSplit > 0 || a.inSplit > 0
-	}
-	return int(n) < o.baseNodes && o.g.HasLocalEdges(n)
-}
-
-// Rep maps n to its representative under the repaired condensation
-// (identity for dissolved members and added nodes).
-func (o *Overlay) Rep(n pag.NodeID) pag.NodeID {
-	if o.rep != nil {
-		return o.rep[n]
-	}
-	if o.trivial || int(n) >= o.baseNodes {
-		return n
-	}
-	return o.cond.Rep(n)
+// liveBase returns a base view over the patch tables as they stand. A
+// commit takes one wherever the tables may have grown since the last.
+func (o *Overlay) liveBase() *pag.View {
+	return o.g.View().Patched(nil, o.patchBase, o.baseAdj)
 }
 
 // nodeMethod returns the enclosing method of n (NoMethod for globals).
@@ -416,11 +274,11 @@ func (o *Overlay) ownerMethod(e pag.Edge) pag.MethodID {
 	}
 }
 
-// hasEdgeBase reports whether e exists in the current base view.
-func (o *Overlay) hasEdgeBase(e pag.Edge) bool {
-	sp := o.baseGlobalOut(e.Src)
+// hasEdge reports whether e exists in the base view bv.
+func hasEdge(bv *pag.View, e pag.Edge) bool {
+	sp := bv.GlobalOut(e.Src)
 	if e.Kind.IsLocal() {
-		sp = o.baseLocalOut(e.Src)
+		sp = bv.LocalOut(e.Src)
 	}
 	for _, have := range sp {
 		if have == e {
@@ -431,10 +289,16 @@ func (o *Overlay) hasEdgeBase(e pag.Edge) bool {
 }
 
 // ensureIndexes lazily builds the O(n) structures the first Apply needs:
-// the method→nodes index, the surviving-SCC group table and repaired rep
-// array (nontrivial condensations only), and the reverse-dependency
-// sketch.
+// the patch tables, the method→nodes index, the surviving-SCC group table
+// and repaired rep array (nontrivial condensations only), and the
+// reverse-dependency sketch.
 func (o *Overlay) ensureIndexes() {
+	if o.patchBase == nil {
+		o.patchBase = makeNegative(o.NumNodes())
+		if !o.trivial {
+			o.patchCond = makeNegative(o.NumNodes())
+		}
+	}
 	if o.methodNodes == nil {
 		o.methodNodes = make([][]pag.NodeID, o.NumMethods())
 		for n := 0; n < o.baseNodes; n++ {

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,10 +9,11 @@ import (
 	"dynsum/internal/core"
 	"dynsum/internal/fixture"
 	"dynsum/internal/intstack"
+	"dynsum/internal/pag"
 )
 
 // TestConcurrentBatchMatchesSerial fires overlapping BatchPointsTo calls
-// plus direct concurrent PointsToCtx calls at one shared DYNSUM engine and
+// plus direct concurrent Query calls at one shared DYNSUM engine and
 // asserts every answer matches a serial engine over the same context
 // table. Under -race this validates the whole concurrent kernel — sharded
 // summary cache, lock-free stack tables, atomic metrics — and in any mode
@@ -38,7 +40,7 @@ func TestConcurrentBatchMatchesSerial(t *testing.T) {
 		want := make([]*core.PointsToSet, len(queries))
 		wantErr := make([]error, len(queries))
 		for i, q := range queries {
-			want[i], wantErr[i] = serial.PointsToCtx(q.Var, q.Ctx)
+			want[i], wantErr[i] = queryIn(nil, serial, q.Var, q.Ctx)
 			if wantErr[i] != nil && !conservative(wantErr[i]) {
 				t.Fatalf("seed %d: serial: %v", seed, wantErr[i])
 			}
@@ -54,14 +56,14 @@ func TestConcurrentBatchMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(b int) {
 				defer wg.Done()
-				results[b] = shared.BatchPointsTo(queries, 4)
+				results[b] = shared.BatchPointsTo(nil, queries, 4)
 			}(b)
 		}
 		for i := range queries {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				directPts[i], directErr[i] = shared.PointsToCtx(queries[i].Var, queries[i].Ctx)
+				directPts[i], directErr[i] = queryIn(nil, shared, queries[i].Var, queries[i].Ctx)
 			}(i)
 		}
 		wg.Wait()
@@ -80,4 +82,12 @@ func TestConcurrentBatchMatchesSerial(t *testing.T) {
 			check("direct", i, directPts[i], directErr[i])
 		}
 	}
+}
+
+// queryIn answers one query on d into a fresh set (the allocating form of
+// DynSum.Query).
+func queryIn(ctx context.Context, d *core.DynSum, v pag.NodeID, cc intstack.ID) (*core.PointsToSet, error) {
+	pts := core.NewPointsToSet()
+	err := d.Query(ctx, pts, v, cc)
+	return pts, err
 }

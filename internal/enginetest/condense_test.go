@@ -26,8 +26,9 @@ import (
 // the condensed overlay, one forced onto the base adjacency.
 func condensedPair(g *pag.Graph, ctxs *intstack.Table) (on, off *core.DynSum) {
 	on = core.NewDynSum(g, bigBudget, ctxs)
-	off = core.NewDynSum(g, bigBudget, ctxs)
-	off.DisableCondense = true
+	offCfg := bigBudget
+	offCfg.DisableCondense = true
+	off = core.NewDynSum(g, offCfg, ctxs)
 	return on, off
 }
 
@@ -41,7 +42,6 @@ func TestCondensedMatchesUncondensedRandomCorpus(t *testing.T) {
 		prog := fixture.RandProgram(seed, fixture.RandConfig{
 			Methods: 5, Calls: 6, Globals: 2, GlobalAssigns: 3,
 		})
-		prog.G.Freeze()
 		if prog.G.Condensation() == nil {
 			t.Fatalf("seed %d: frozen graph has no condensation", seed)
 		}
@@ -129,15 +129,15 @@ func queryVars(prog *pag.Program) []pag.NodeID {
 	return out
 }
 
-// TestIncrementalFixturesStayUncondensed pins the mutable path: the
-// incremental-edit fixtures are never frozen, never condensed, and keep
-// answering exactly like a fresh engine after an edit + invalidation —
-// the scenario that must not silently start reading a stale overlay.
-func TestIncrementalFixturesStayUncondensed(t *testing.T) {
+// TestIncrementalEditThroughDelta pins the edit path: the fixtures are
+// frozen and condensed, a method edit arrives as a delta epoch, and the
+// warm engine keeps answering exactly like a cold engine built on the
+// edited program — the scenario that must not silently read a stale view.
+func TestIncrementalEditThroughDelta(t *testing.T) {
 	f := fixture.BuildFigure2()
 	g := f.Prog.G
-	if g.Frozen() || g.Condensation() != nil {
-		t.Fatal("incremental fixture is frozen/condensed; edits would panic")
+	if !g.Frozen() || g.Condensation() == nil {
+		t.Fatal("fixture is not frozen and condensed")
 	}
 
 	warm := core.NewDynSum(g, core.Config{}, nil)
@@ -145,48 +145,36 @@ func TestIncrementalFixturesStayUncondensed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Edit a method (legal only because the graph is mutable), then
-	// invalidate and compare against a cold engine.
+	// Edit a method: a new local and a second store path in Vector.add.
 	addMethod := g.Node(f.TAdd).Method
-	t2 := g.AddNode(pag.Local, addMethod, pag.NoClass, "t2")
-	g.AddEdge(pag.Edge{Src: f.ThisAdd, Dst: t2, Kind: pag.Load, Label: int32(f.Elems)})
-	g.AddEdge(pag.Edge{Src: f.PAdd, Dst: t2, Kind: pag.Store, Label: int32(f.Arr)})
-	if g.Condensation() != nil {
-		t.Fatal("editing produced a condensation")
+	log, err := warm.NewDeltaLog()
+	if err != nil {
+		t.Fatal(err)
 	}
-	warm.InvalidateMethod(addMethod)
+	t2 := log.AddNode(pag.Local, addMethod, pag.NoClass, "t2")
+	log.AddEdge(pag.Edge{Src: f.ThisAdd, Dst: t2, Kind: pag.Load, Label: int32(f.Elems)})
+	log.AddEdge(pag.Edge{Src: f.PAdd, Dst: t2, Kind: pag.Store, Label: int32(f.Arr)})
+	res, err := warm.ApplyDelta(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.TouchedMethods) != 1 || res.TouchedMethods[0] != addMethod {
+		t.Errorf("TouchedMethods = %v, want [%d]", res.TouchedMethods, addMethod)
+	}
 
-	fresh := core.NewDynSum(g, core.Config{}, warm.Ctxs())
+	edited, err := warm.Overlay().Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := core.NewDynSum(edited, core.Config{}, warm.Ctxs())
 	for _, q := range []pag.NodeID{f.S1, f.S2, f.PAdd} {
 		a, errA := warm.PointsTo(q)
 		b, errB := fresh.PointsTo(q)
 		if errA != nil || errB != nil {
-			t.Fatalf("query %s: %v / %v", g.NodeString(q), errA, errB)
+			t.Fatalf("query %s: %v / %v", edited.NodeString(q), errA, errB)
 		}
 		if !a.Equal(b) {
-			t.Errorf("query %s: warm-after-edit %v != fresh %v", g.NodeString(q), a, b)
-		}
-	}
-}
-
-// TestDisableCondenseToggleDropsWarmCache: condensed summaries are
-// representative-keyed and cannot answer base-path queries; flipping
-// DisableCondense on a warmed (quiesced) engine must therefore not
-// serve stale-mode entries — answers stay identical in both directions.
-func TestDisableCondenseToggleDropsWarmCache(t *testing.T) {
-	p := benchgen.CyclicProfiles[0].Scaled(0.004)
-	prog := benchgen.Generate(p, 3)
-	ctxs := new(intstack.Table)
-	d := core.NewDynSum(prog.G, bigBudget, ctxs)
-	oracle := core.NewDynSum(prog.G, bigBudget, ctxs)
-	oracle.DisableCondense = true
-	vars := queryVars(prog)
-	for round, disable := range []bool{false, true, false} {
-		d.DisableCondense = disable
-		for _, v := range vars {
-			a, errA := d.PointsTo(v)
-			b, errB := oracle.PointsTo(v)
-			compareOn(t, fmt.Sprintf("toggle round %d", round), prog.G, v, a, b, errA, errB, true)
+			t.Errorf("query %s: warm-after-edit %v != fresh %v", edited.NodeString(q), a, b)
 		}
 	}
 }

@@ -47,9 +47,10 @@ func replayEquivalence(t *testing.T, tag string, ev *benchgen.EvolveProgram,
 	cfg.CompactFraction = -1 // keep the overlay live across all waves
 	engines := make([]*core.DynSum, len(evolveVariants))
 	for i, v := range evolveVariants {
-		d := core.NewDynSum(ev.Base.G, cfg, ctxs)
-		d.DisableCondense = v.disableCondense
-		d.DisableCache = v.disableCache
+		dCfg := cfg
+		dCfg.DisableCondense = v.disableCondense
+		dCfg.DisableCache = v.disableCache
+		d := core.NewDynSum(ev.Base.G, dCfg, ctxs)
 		engines[i] = d
 	}
 	// Structural firewall: the overlay must keep the frozen base arrays
@@ -69,10 +70,9 @@ func replayEquivalence(t *testing.T, tag string, ev *benchgen.EvolveProgram,
 				if _, err := d.ApplyDelta(log); err != nil {
 					t.Fatalf("%s wave %d %s: ApplyDelta: %v", tag, k, evolveVariants[i].name, err)
 				}
-				if ov := d.Overlay(); ov != nil {
-					if err := check.Overlay(ov, ev.Base.G, baseFP); err != nil {
-						t.Fatalf("%s wave %d %s: overlay validation: %v", tag, k, evolveVariants[i].name, err)
-					}
+				ov := d.Overlay()
+				if err := check.Overlay(ov, ov.BaseView(), ov.CondView(), ev.Base.G, baseFP); err != nil {
+					t.Fatalf("%s wave %d %s: overlay validation: %v", tag, k, evolveVariants[i].name, err)
 				}
 				if err := check.Cache(d); err != nil {
 					t.Fatalf("%s wave %d %s: cache validation: %v", tag, k, evolveVariants[i].name, err)
@@ -107,12 +107,7 @@ func replayEquivalence(t *testing.T, tag string, ev *benchgen.EvolveProgram,
 // base graph's table does not cover delta-added nodes).
 type evolveNamer struct{ d *core.DynSum }
 
-func (n evolveNamer) NodeString(id pag.NodeID) string {
-	if ov := n.d.Overlay(); ov != nil {
-		return ov.NodeString(id)
-	}
-	return n.d.Graph().NodeString(id)
-}
+func (n evolveNamer) NodeString(id pag.NodeID) string { return n.d.Overlay().NodeString(id) }
 
 // derefVars selects the NullDeref batch of a prefix program.
 func derefVars(prefix *pag.Program) []pag.NodeID {
@@ -151,7 +146,7 @@ func TestEvolveReplayEquivalenceBenchmarks(t *testing.T) {
 // programs into waves and sweeps every local variable of every prefix.
 func TestEvolveReplayEquivalenceRandomCorpus(t *testing.T) {
 	for seed := int64(900); seed < 900+seedSpan(12); seed++ {
-		prog := fixture.RandProgram(seed, fixture.RandConfig{
+		prog := fixture.RandProgramMutable(seed, fixture.RandConfig{
 			Methods: 6, Calls: 6, Globals: 2, GlobalAssigns: 3,
 		})
 		ev, err := benchgen.PartitionEvolve(prog, "rand-evolve", 3)
@@ -466,7 +461,7 @@ func TestEvolveAutoCompact(t *testing.T) {
 		if !res.Compacted {
 			t.Fatalf("wave %d did not compact at fraction %g", k, res.OverlayFraction)
 		}
-		if d.Overlay() != nil {
+		if d.Overlay().Epoch() != 0 {
 			t.Fatal("overlay survived compaction")
 		}
 		// The compacted graph is a fresh frozen CSR: it must satisfy every
@@ -475,7 +470,7 @@ func TestEvolveAutoCompact(t *testing.T) {
 		if err := check.Graph(g); err != nil {
 			t.Fatalf("wave %d: compacted graph: %v", k, err)
 		}
-		if err := check.Condensation(g, g.Condensation()); err != nil {
+		if err := check.Condensation(g, g.Condensation().View()); err != nil {
 			t.Fatalf("wave %d: compacted condensation: %v", k, err)
 		}
 		if err := check.Cache(d); err != nil {
@@ -538,7 +533,7 @@ func TestEvolveBatchConcurrency(t *testing.T) {
 		if len(queries) == 0 {
 			continue
 		}
-		results := d.BatchPointsTo(queries, 4)
+		results := d.BatchPointsTo(nil, queries, 4)
 		for i, r := range results {
 			want, errW := serial.PointsTo(queries[i].Var)
 			compareOn(t, fmt.Sprintf("wave %d batch[%d]", k, i), evolveNamer{d}, r.Var, r.Pts, want, r.Err, errW, true)

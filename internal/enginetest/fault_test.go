@@ -103,9 +103,10 @@ func TestQueryFaultCrashConsistency(t *testing.T) {
 	for _, variant := range faultVariants {
 		t.Run(variant.name, func(t *testing.T) {
 			newEngine := func() *core.DynSum {
-				d := core.NewDynSum(prog.G, bigBudget, new(intstack.Table))
-				d.DisableCache = variant.disableCache
-				d.DisableCondense = variant.disableCondense
+				dCfg := bigBudget
+				dCfg.DisableCache = variant.disableCache
+				dCfg.DisableCondense = variant.disableCondense
+				d := core.NewDynSum(prog.G, dCfg, new(intstack.Table))
 				return d
 			}
 
@@ -242,13 +243,12 @@ func TestApplyDeltaFaultAtomicity(t *testing.T) {
 
 	// Pre-epoch state intact: overlay validators green, answers are the
 	// BASE program's answers.
-	if ov := d.Overlay(); ov != nil {
-		if ov.Epoch() != 0 {
-			t.Errorf("aborted Apply advanced the epoch to %d", ov.Epoch())
-		}
-		if err := check.Overlay(ov, ev.Base.G, baseFP); err != nil {
-			t.Errorf("overlay validation after aborted Apply: %v", err)
-		}
+	ov := d.Overlay()
+	if ov.Epoch() != 0 {
+		t.Errorf("aborted Apply advanced the epoch to %d", ov.Epoch())
+	}
+	if err := check.Overlay(ov, ov.BaseView(), ov.CondView(), ev.Base.G, baseFP); err != nil {
+		t.Errorf("overlay validation after aborted Apply: %v", err)
 	}
 	baseRef := core.NewDynSum(ev.Base.G, cfg, new(intstack.Table))
 	for _, v := range faultSweepVars(ev.Base, 8) {
@@ -262,10 +262,9 @@ func TestApplyDeltaFaultAtomicity(t *testing.T) {
 	if _, err := d.ApplyDelta(dlog); err != nil {
 		t.Fatalf("retrying the aborted ApplyDelta: %v", err)
 	}
-	if ov := d.Overlay(); ov != nil {
-		if err := check.Overlay(ov, ev.Base.G, baseFP); err != nil {
-			t.Errorf("overlay validation after retried Apply: %v", err)
-		}
+	ov = d.Overlay()
+	if err := check.Overlay(ov, ov.BaseView(), ov.CondView(), ev.Base.G, baseFP); err != nil {
+		t.Errorf("overlay validation after retried Apply: %v", err)
 	}
 	for _, v := range vars {
 		got, errG := d.PointsTo(v)
@@ -319,13 +318,13 @@ func TestCompactFaultLeavesEngineUsable(t *testing.T) {
 
 	// Pre-compaction engine fully usable: overlay still present and
 	// valid, answers unchanged.
-	if d.Overlay() == nil {
+	if d.Overlay().Epoch() == 0 {
 		t.Fatal("aborted Compact dropped the overlay")
 	}
 	if d.Compactions() != 0 {
 		t.Errorf("aborted Compact counted as a compaction")
 	}
-	if err := check.Overlay(d.Overlay(), ev.Base.G, baseFP); err != nil {
+	if err := check.Overlay(d.Overlay(), d.Overlay().BaseView(), d.Overlay().CondView(), ev.Base.G, baseFP); err != nil {
 		t.Errorf("overlay validation after aborted Compact: %v", err)
 	}
 	for i, v := range vars {
@@ -337,13 +336,13 @@ func TestCompactFaultLeavesEngineUsable(t *testing.T) {
 	if err := d.Compact(); err != nil {
 		t.Fatalf("retrying the aborted Compact: %v", err)
 	}
-	if d.Overlay() != nil {
+	if d.Overlay().Epoch() != 0 {
 		t.Error("clean Compact left the overlay in place")
 	}
 	if err := check.Graph(d.Graph()); err != nil {
 		t.Errorf("compacted graph validation: %v", err)
 	}
-	if err := check.Condensation(d.Graph(), d.Graph().Condensation()); err != nil {
+	if err := check.Condensation(d.Graph(), d.Graph().Condensation().View()); err != nil {
 		t.Errorf("compacted condensation validation: %v", err)
 	}
 	for i, v := range vars {

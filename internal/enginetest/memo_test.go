@@ -24,11 +24,11 @@ import (
 // memoPair builds a memoised engine and its flat DisableCache oracle over
 // one graph and one context table.
 func memoPair(g *pag.Graph, ctxs *intstack.Table, base bool) (memo, oracle *core.DynSum) {
-	memo = core.NewDynSum(g, bigBudget, ctxs)
-	oracle = core.NewDynSum(g, bigBudget, ctxs)
-	oracle.DisableCache = true
-	memo.DisableCondense = base
-	oracle.DisableCondense = base
+	cfg := bigBudget
+	cfg.DisableCondense = base
+	memo = core.NewDynSum(g, cfg, ctxs)
+	cfg.DisableCache = true
+	oracle = core.NewDynSum(g, cfg, ctxs)
 	return memo, oracle
 }
 
@@ -42,7 +42,6 @@ func TestMemoisedMatchesFlatRandomCorpus(t *testing.T) {
 		prog := fixture.RandProgram(seed, fixture.RandConfig{
 			Methods: 5, Calls: 6, Globals: 2, GlobalAssigns: 3,
 		})
-		prog.G.Freeze()
 		for _, base := range []bool{false, true} {
 			ctxs := new(intstack.Table)
 			memo, oracle := memoPair(prog.G, ctxs, base)

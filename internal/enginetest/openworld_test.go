@@ -40,7 +40,7 @@ func owEngineModes() []owEngineMode {
 func owProfiles() []benchgen.OWProfile {
 	if testing.Short() {
 		var out []benchgen.OWProfile
-		for _, name := range []string{"avrora-ow25", "avrora-owleaf50", "luindex-ow10", "luindex-owleaf25"} {
+		for _, name := range []string{"avrora-ow25", "avrora-ow50", "luindex-ow10", "luindex-ow25"} {
 			p, ok := benchgen.OpenWorldProfileByName(name)
 			if !ok {
 				panic("unknown short-sweep profile " + name)
@@ -120,9 +120,10 @@ func TestOpenWorldSoundnessSweep(t *testing.T) {
 		total, skipped := 0, 0
 		for _, mode := range owEngineModes() {
 			for _, withSpecs := range []bool{false, true} {
-				d := core.NewDynSum(bench.Stripped.G, bigBudget, new(intstack.Table))
-				d.DisableCache = mode.noCache
-				d.DisableCondense = mode.noCondense
+				dCfg := bigBudget
+				dCfg.DisableCache = mode.noCache
+				dCfg.DisableCondense = mode.noCondense
+				d := core.NewDynSum(bench.Stripped.G, dCfg, new(intstack.Table))
 				d.EnableOpenWorld(core.PolicyBlended)
 				tag := fmt.Sprintf("%s/%s/blended", ow.Name(), mode.name)
 				if withSpecs {
@@ -219,9 +220,10 @@ func TestOpenWorldBodyArrivalSweep(t *testing.T) {
 	queries := dedupQueries(queryVars(prog))
 
 	for _, mode := range owEngineModes() {
-		d := core.NewDynSum(sg, bigBudget, new(intstack.Table))
-		d.DisableCache = mode.noCache
-		d.DisableCondense = mode.noCondense
+		dCfg := bigBudget
+		dCfg.DisableCache = mode.noCache
+		dCfg.DisableCondense = mode.noCondense
+		d := core.NewDynSum(sg, dCfg, new(intstack.Table))
 		d.EnableOpenWorld(core.PolicyBlended)
 
 		// Phase 1: blended answers are supersets.

@@ -53,12 +53,9 @@ func persistOpts(variant struct {
 }, ctxs *intstack.Table) persist.Options {
 	cfg := bigBudget
 	cfg.CompactFraction = -1
-	return persist.Options{
-		Config:          cfg,
-		Ctxs:            ctxs,
-		DisableCache:    variant.disableCache,
-		DisableCondense: variant.disableCondense,
-	}
+	cfg.DisableCache = variant.disableCache
+	cfg.DisableCondense = variant.disableCondense
+	return persist.Options{Config: cfg, Ctxs: ctxs}
 }
 
 // epochVars is the query batch at epoch e: the deref sites loaded so far.
@@ -83,8 +80,6 @@ func buildOracles(t *testing.T, ev *benchgen.EvolveProgram, opts persist.Options
 	t.Helper()
 	oracles := make([]epochOracle, ev.NumWaves())
 	d := core.NewDynSum(ev.Base.G, opts.Config, opts.Ctxs)
-	d.DisableCache = opts.DisableCache
-	d.DisableCondense = opts.DisableCondense
 	for e := 0; e < ev.NumWaves(); e++ {
 		if e > 0 {
 			log, err := d.NewDeltaLog()

@@ -39,7 +39,7 @@ func TestValidateFrozenCondensedProfiles(t *testing.T) {
 			if err := check.Graph(prog.G); err != nil {
 				t.Fatalf("frozen form: %v", err)
 			}
-			if err := check.Condensation(prog.G, prog.G.Condensation()); err != nil {
+			if err := check.Condensation(prog.G, prog.G.Condensation().View()); err != nil {
 				t.Fatalf("condensation: %v", err)
 			}
 		})
@@ -92,8 +92,8 @@ func TestValidateEvolveReplayProfiles(t *testing.T) {
 					}
 				}
 
-				if ov := d.Overlay(); ov != nil {
-					if err := check.Overlay(ov, d.Graph(), 0); err != nil {
+				if ov := d.Overlay(); ov.Epoch() > 0 {
+					if err := check.Overlay(ov, ov.BaseView(), ov.CondView(), d.Graph(), 0); err != nil {
 						t.Fatalf("wave %d: overlay: %v", k, err)
 					}
 				} else {
@@ -101,7 +101,7 @@ func TestValidateEvolveReplayProfiles(t *testing.T) {
 					if err := check.Graph(g); err != nil {
 						t.Fatalf("wave %d: graph: %v", k, err)
 					}
-					if err := check.Condensation(g, g.Condensation()); err != nil {
+					if err := check.Condensation(g, g.Condensation().View()); err != nil {
 						t.Fatalf("wave %d: condensation: %v", k, err)
 					}
 				}

@@ -175,7 +175,7 @@ func BuildFigure2() *Figure2 {
 	f.Site[33] = b.Call(main, retrieve, "Main.main:33",
 		[]pag.NodeID{f.C2}, []pag.NodeID{f.ThisRetrieve}, f.RetRetr, f.S2)
 
-	f.Prog = pag.NewProgram("figure2", b.G)
+	f.Prog = finish("figure2", b)
 	// Two downcast sites for the SafeCast client: (Integer)s1 is safe
 	// (pts(s1)={o26}), (Integer)s2 is not (pts(s2)={o29}: a String).
 	f.Prog.Casts = []pag.CastSite{

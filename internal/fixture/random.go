@@ -53,6 +53,15 @@ func (c RandConfig) Defaults() RandConfig {
 // equivalence properties meaningful: the engines are compared on graphs
 // drawn from the same family as real programs, not on arbitrary edge soup.
 func RandProgram(seed int64, cfg RandConfig) *pag.Program {
+	p := RandProgramMutable(seed, cfg)
+	p.G.Freeze() // generated programs are valid by construction
+	return p
+}
+
+// RandProgramMutable is RandProgram left in builder form, for the callers
+// that transform a program before freezing it (wave partitioning, the
+// freeze-equivalence checks).
+func RandProgramMutable(seed int64, cfg RandConfig) *pag.Program {
 	cfg = cfg.Defaults()
 	rng := rand.New(rand.NewSource(seed))
 	b := pag.NewBuilder()

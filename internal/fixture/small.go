@@ -27,7 +27,7 @@ func AssignChain(n int) *Micro {
 		b.Copy(next, v)
 		v = next
 	}
-	return &Micro{Prog: pag.NewProgram("assignchain", b.G), Query: v, Want: []pag.NodeID{o}}
+	return &Micro{Prog: finish("assignchain", b), Query: v, Want: []pag.NodeID{o}}
 }
 
 // FieldPair builds the canonical store/load pair through an alias:
@@ -56,7 +56,7 @@ func FieldPair() *Micro {
 	o2 := bld.NewObject(z, "o2", cls)
 	bld.Store(b2, f, z) // b.f = z
 
-	return &Micro{Prog: pag.NewProgram("fieldpair", bld.G), Query: y,
+	return &Micro{Prog: finish("fieldpair", bld), Query: y,
 		Want: []pag.NodeID{o1}, Not: []pag.NodeID{o2}}
 }
 
@@ -76,7 +76,7 @@ func TwoFields() *Micro {
 	bld.Store(a, f, x)
 	y := bld.Local(m, "y", cls)
 	bld.Load(y, a, g)
-	return &Micro{Prog: pag.NewProgram("twofields", bld.G), Query: y, Not: []pag.NodeID{o1}}
+	return &Micro{Prog: finish("twofields", bld), Query: y, Not: []pag.NodeID{o1}}
 }
 
 // CallReturn builds caller/callee flow through entry and exit edges:
@@ -98,7 +98,7 @@ func CallReturn() *Micro {
 	o := b.NewObject(x, "o", cls)
 	y := b.Local(caller, "y", cls)
 	b.Call(caller, callee, "caller:1", []pag.NodeID{x}, []pag.NodeID{p}, retv, y)
-	return &Micro{Prog: pag.NewProgram("callreturn", b.G), Query: y, Want: []pag.NodeID{o}}
+	return &Micro{Prog: finish("callreturn", b), Query: y, Want: []pag.NodeID{o}}
 }
 
 // ContextSeparation is the classic context-sensitivity litmus test:
@@ -124,7 +124,7 @@ func ContextSeparation() *Micro {
 	y := b.Local(main, "y", cls)
 	b.Call(main, id, "main:1", []pag.NodeID{a}, []pag.NodeID{p}, retv, x)
 	b.Call(main, id, "main:2", []pag.NodeID{bb}, []pag.NodeID{p}, retv, y)
-	return &Micro{Prog: pag.NewProgram("ctxsep", b.G), Query: x,
+	return &Micro{Prog: finish("ctxsep", b), Query: x,
 		Want: []pag.NodeID{o1}, Not: []pag.NodeID{o2}}
 }
 
@@ -147,7 +147,7 @@ func GlobalFlow() *Micro {
 	reader := b.Method("M.reader", cls)
 	y := b.Local(reader, "y", cls)
 	b.Copy(y, g) // assignglobal
-	return &Micro{Prog: pag.NewProgram("globalflow", b.G), Query: y, Want: []pag.NodeID{o}}
+	return &Micro{Prog: finish("globalflow", b), Query: y, Want: []pag.NodeID{o}}
 }
 
 // PointsToCycle builds a cyclic points-to dependency through assignments:
@@ -164,7 +164,7 @@ func PointsToCycle() *Micro {
 	o := b.NewObject(v, "o", cls)
 	b.Copy(v, w)
 	b.Copy(w, v)
-	return &Micro{Prog: pag.NewProgram("ptcycle", b.G), Query: v, Want: []pag.NodeID{o}}
+	return &Micro{Prog: finish("ptcycle", b), Query: v, Want: []pag.NodeID{o}}
 }
 
 // FieldCycleThroughCall builds the mutual recursion between points-to and
@@ -197,7 +197,7 @@ func FieldCycleThroughCall() *Micro {
 	r := b.Local(main, "r", cls)
 	b.Call(main, put, "main:1", []pag.NodeID{box, v}, []pag.NodeID{putBox, putV}, pag.NoNode, pag.NoNode)
 	b.Call(main, getv, "main:2", []pag.NodeID{box}, []pag.NodeID{getBox}, getRet, r)
-	return &Micro{Prog: pag.NewProgram("fieldcall", b.G), Query: r, Want: []pag.NodeID{o}}
+	return &Micro{Prog: finish("fieldcall", b), Query: r, Want: []pag.NodeID{o}}
 }
 
 func itoa(i int) string {
@@ -212,4 +212,16 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf[n:])
+}
+
+// finish freezes a fixture's graph (Builder.Finish: validate, then the
+// immutable CSR layout the engines read) and wraps it in a Program.
+// Fixtures are well-formed by construction, so a validation error is a bug
+// in the fixture itself.
+func finish(name string, b *pag.Builder) *pag.Program {
+	g, err := b.Finish()
+	if err != nil {
+		panic("fixture " + name + ": " + err.Error())
+	}
+	return pag.NewProgram(name, g)
 }

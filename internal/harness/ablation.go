@@ -48,8 +48,9 @@ func RunCacheAblation(opts Options, bench, client string) CacheAblationResult {
 	res.EdgesWith = on.Metrics().EdgesTraversed
 	res.PPTAVisitsWith = on.Metrics().PPTAVisits
 
-	off := core.NewDynSum(prog.G, opts.config(), nil)
-	off.DisableCache = true
+	offCfg := opts.config()
+	offCfg.DisableCache = true
+	off := core.NewDynSum(prog.G, offCfg, nil)
 	timedClient(client, prog, off)
 	res.EdgesWithout = off.Metrics().EdgesTraversed
 	res.PPTAVisitsWithout = off.Metrics().PPTAVisits

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"dynsum/internal/clients"
 	"dynsum/internal/core"
 	"dynsum/internal/fixture"
+	"dynsum/internal/intstack"
 	"dynsum/internal/persist"
 	"dynsum/internal/serve"
 )
@@ -125,19 +127,18 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 	// engine's hot path, and the workload the allocation-regression test
 	// pins at zero allocations.
 	fig := fixture.BuildFigure2()
-	fig.Prog.G.Freeze()
 	warm := core.NewDynSum(fig.Prog.G, core.Config{}, nil)
 	dst := core.NewPointsToSet()
-	if err := warm.PointsToInto(dst, fig.S1); err != nil {
+	if err := warm.Query(nil, dst, fig.S1, intstack.Empty); err != nil {
 		panic(err)
 	}
-	if err := warm.PointsToInto(dst, fig.S2); err != nil {
+	if err := warm.Query(nil, dst, fig.S2, intstack.Empty); err != nil {
 		panic(err)
 	}
 	r := measure(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := warm.PointsToInto(dst, fig.S2); err != nil {
+			if err := warm.Query(nil, dst, fig.S2, intstack.Empty); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -182,8 +183,9 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 			r := measure(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d := core.NewDynSum(prog.G, opts.config(), nil)
-					d.DisableCondense = mode == "base"
+					cfg := opts.config()
+					cfg.DisableCondense = mode == "base"
+					d := core.NewDynSum(prog.G, cfg, nil)
 					if _, err := clients.Run("NullDeref", prog, d); err != nil {
 						b.Fatal(err)
 					}
@@ -249,27 +251,28 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 			panic(err)
 		}
 		for _, mode := range []string{"condensed", "base"} {
-			d := core.NewDynSum(cyc.G, opts.config(), nil)
-			d.DisableCondense = mode == "base"
+			cfg := opts.config()
+			cfg.DisableCondense = mode == "base"
+			d := core.NewDynSum(cyc.G, cfg, nil)
 			wdst := core.NewPointsToSet()
-			if err := d.PointsToInto(wdst, qv); err != nil {
+			if err := d.Query(nil, wdst, qv, intstack.Empty); err != nil {
 				panic(err)
 			}
 			r := measure(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := d.PointsToInto(wdst, qv); err != nil {
+					if err := d.Query(nil, wdst, qv, intstack.Empty); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			snap.Records = append(snap.Records, record("warm-query/bloat-cyclic/"+mode, opts.Scale, r))
 
-			d.BatchPointsTo(batch, 1) // warm every query's summaries
+			d.BatchPointsTo(nil, batch, 1) // warm every query's summaries
 			r = measure(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d.BatchPointsTo(batch, 1)
+					d.BatchPointsTo(nil, batch, 1)
 				}
 			})
 			snap.Records = append(snap.Records, record("warm-batch/bloat-cyclic/NullDeref/"+mode, opts.Scale, r))
@@ -309,7 +312,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 						frac = res.OverlayFraction
 					}
 					for _, q := range ev.DerefsThrough(k) {
-						d.PointsToInto(dst, q.Var)
+						d.Query(nil, dst, q.Var, intstack.Empty)
 					}
 				}
 				invalidated = int64(inv)
@@ -330,7 +333,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 					}
 					d := core.NewDynSum(prefix.G, opts.config(), nil)
 					for _, q := range ev.DerefsThrough(k) {
-						d.PointsToInto(dst, q.Var)
+						d.Query(nil, dst, q.Var, intstack.Empty)
 					}
 				}
 			}
@@ -458,7 +461,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d := core.NewDynSum(bprog.G, opts.config(), nil)
-				d.BatchPointsTo(queries, workers)
+				d.BatchPointsTo(nil, queries, workers)
 				m := d.Metrics().Snapshot()
 				edges = m.EdgesTraversed
 				summaries = int64(d.SummaryCount())
@@ -480,13 +483,22 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 	return snap
 }
 
-// CompareBenchFile reads a snapshot file and reports current-vs-baseline
-// regressions: a warning per record whose ns_per_op or edges_traversed
-// exceeds its baseline by more than tolerance (a ratio; 0.2 = 20%). The
-// CI bench job runs this against the committed snapshot and surfaces the
-// warnings without failing the build — wall-clock numbers are machine-
-// dependent, but a >20% jump in the deterministic edge counter is a real
-// algorithmic regression signal.
+// CompareBenchFile reads a snapshot file and compares its current section
+// against its baseline section, record by record. Two kinds of finding:
+//
+//   - The deterministic work counters (edges_traversed, ppta_visits,
+//     summaries_computed) must match the baseline exactly, in either
+//     direction: they are machine-independent, so any difference is an
+//     algorithmic change. Each mismatch prints a FAIL line, and the
+//     function returns an error naming how many there were. Multi-worker
+//     batch records (batch/.../workers*) are exempt: which queries warm
+//     the shared cache first is schedule-dependent there.
+//   - Wall clock is advisory: a record whose ns_per_op exceeds its
+//     baseline by more than tolerance (a ratio; 0.2 = 20%) prints a
+//     WARNING and counts toward the returned warnings only.
+//
+// Records absent from the baseline, or measured at another scale, are not
+// compared.
 func CompareBenchFile(w io.Writer, path string, tolerance float64) (warnings int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -504,7 +516,7 @@ func CompareBenchFile(w io.Writer, path string, tolerance float64) (warnings int
 	for _, r := range file.Baseline.Records {
 		base[r.Name] = r
 	}
-	compared, skipped := 0, 0
+	compared, skipped, mismatches := 0, 0, 0
 	for _, cur := range file.Current.Records {
 		b, ok := base[cur.Name]
 		if !ok {
@@ -522,24 +534,40 @@ func CompareBenchFile(w io.Writer, path string, tolerance float64) (warnings int
 			fmt.Fprintf(w, "WARNING %s: ns/op %.0f -> %.0f (+%.0f%%)\n",
 				cur.Name, b.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/b.NsPerOp-1))
 		}
-		if b.EdgesTraversed > 0 && float64(cur.EdgesTraversed) > float64(b.EdgesTraversed)*(1+tolerance) {
-			warnings++
-			fmt.Fprintf(w, "WARNING %s: edges_traversed %d -> %d (+%.0f%%)\n",
-				cur.Name, b.EdgesTraversed, cur.EdgesTraversed,
-				100*(float64(cur.EdgesTraversed)/float64(b.EdgesTraversed)-1))
+		if scheduleDependent(cur.Name) {
+			continue
 		}
-		if b.PPTAVisits > 0 && float64(cur.PPTAVisits) > float64(b.PPTAVisits)*(1+tolerance) {
-			warnings++
-			fmt.Fprintf(w, "WARNING %s: ppta_visits %d -> %d (+%.0f%%)\n",
-				cur.Name, b.PPTAVisits, cur.PPTAVisits,
-				100*(float64(cur.PPTAVisits)/float64(b.PPTAVisits)-1))
+		for _, c := range []struct {
+			name      string
+			base, cur int64
+		}{
+			{"edges_traversed", b.EdgesTraversed, cur.EdgesTraversed},
+			{"ppta_visits", b.PPTAVisits, cur.PPTAVisits},
+			{"summaries_computed", b.SummariesComputed, cur.SummariesComputed},
+		} {
+			if c.base != c.cur {
+				mismatches++
+				fmt.Fprintf(w, "FAIL %s: %s %d -> %d (deterministic counters must match exactly)\n",
+					cur.Name, c.name, c.base, c.cur)
+			}
 		}
 	}
 	if skipped > 0 {
 		fmt.Fprintf(w, "skipped %d records measured at a different scale than their baseline\n", skipped)
 	}
-	fmt.Fprintf(w, "compared %d records against baseline: %d warnings\n", compared, warnings)
+	fmt.Fprintf(w, "compared %d records against baseline: %d counter mismatches, %d warnings\n", compared, mismatches, warnings)
+	if mismatches > 0 {
+		return warnings, fmt.Errorf("%s: %d deterministic counter mismatches against baseline", path, mismatches)
+	}
 	return warnings, nil
+}
+
+// scheduleDependent reports whether a record's counters depend on goroutine
+// scheduling: the multi-worker batch records, whose workers race to warm
+// the shared summary cache.
+func scheduleDependent(name string) bool {
+	last := name[strings.LastIndexByte(name, '/')+1:]
+	return strings.HasPrefix(name, "batch/") && strings.HasPrefix(last, "workers")
 }
 
 // WriteBenchJSONFile measures the trajectory workloads and writes path.

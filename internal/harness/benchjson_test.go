@@ -82,26 +82,11 @@ func TestRunBenchJSONRecords(t *testing.T) {
 	}
 }
 
-// TestCompareBenchFile: regressions beyond tolerance warn; improvements
-// and new workloads do not.
-func TestCompareBenchFile(t *testing.T) {
+// writeBenchFile writes file as a snapshot in a temp dir and returns its
+// path.
+func writeBenchFile(t *testing.T, file BenchFile) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "BENCH.json")
-	file := BenchFile{
-		Schema: 1,
-		Baseline: &BenchSnapshot{Records: []BenchRecord{
-			{Name: "a", NsPerOp: 100, EdgesTraversed: 1000},
-			{Name: "b", NsPerOp: 100, EdgesTraversed: 1000},
-			{Name: "c", NsPerOp: 100, EdgesTraversed: 1000},
-			{Name: "d", NsPerOp: 100, PPTAVisits: 1000},
-		}},
-		Current: BenchSnapshot{Records: []BenchRecord{
-			{Name: "a", NsPerOp: 300, EdgesTraversed: 1000},  // ns regression
-			{Name: "b", NsPerOp: 100, EdgesTraversed: 5000},  // edges regression
-			{Name: "c", NsPerOp: 50, EdgesTraversed: 500},    // improvement
-			{Name: "d", NsPerOp: 100, PPTAVisits: 4000},      // ppta regression
-			{Name: "new", NsPerOp: 9999, EdgesTraversed: 99}, // no baseline
-		}},
-	}
 	out, err := json.MarshalIndent(&file, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -109,28 +94,77 @@ func TestCompareBenchFile(t *testing.T) {
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestCompareBenchFile: wall-clock regressions beyond tolerance warn
+// without failing; improvements, new workloads and schedule-dependent
+// batch counters do neither.
+func TestCompareBenchFile(t *testing.T) {
+	file := BenchFile{
+		Schema: 1,
+		Baseline: &BenchSnapshot{Records: []BenchRecord{
+			{Name: "a", NsPerOp: 100, EdgesTraversed: 1000},
+			{Name: "c", NsPerOp: 100, EdgesTraversed: 1000},
+			{Name: "batch/x/NullDeref/workers4", NsPerOp: 100, EdgesTraversed: 1649},
+		}},
+		Current: BenchSnapshot{Records: []BenchRecord{
+			{Name: "a", NsPerOp: 300, EdgesTraversed: 1000},                          // ns regression
+			{Name: "c", NsPerOp: 50, EdgesTraversed: 1000},                           // ns improvement
+			{Name: "batch/x/NullDeref/workers4", NsPerOp: 100, EdgesTraversed: 1708}, // schedule-dependent
+			{Name: "new", NsPerOp: 9999, EdgesTraversed: 99},                         // no baseline
+		}},
+	}
+	path := writeBenchFile(t, file)
 	var buf strings.Builder
 	warnings, err := CompareBenchFile(&buf, path, 0.2)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("wall-clock and exempt differences failed the compare: %v\n%s", err, buf.String())
 	}
-	if warnings != 3 {
-		t.Errorf("warnings = %d, want 3\n%s", warnings, buf.String())
-	}
-	for _, want := range []string{"WARNING a:", "WARNING b:", "WARNING d: ppta_visits"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("missing expected warning %q:\n%s", want, buf.String())
-		}
+	if warnings != 1 || !strings.Contains(buf.String(), "WARNING a:") {
+		t.Errorf("warnings = %d, want 1 (record a)\n%s", warnings, buf.String())
 	}
 
 	// A baseline-less file compares cleanly.
 	file.Baseline = nil
-	out, _ = json.MarshalIndent(&file, "", "  ")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path = writeBenchFile(t, file)
 	if warnings, err := CompareBenchFile(&buf, path, 0.2); err != nil || warnings != 0 {
 		t.Errorf("baseline-less compare: warnings=%d err=%v", warnings, err)
+	}
+}
+
+// TestCompareBenchFileFailsOnCounterMismatch: the deterministic counters
+// gate exactly — a change in either direction, in any of the three
+// counters, fails the compare and names the record.
+func TestCompareBenchFileFailsOnCounterMismatch(t *testing.T) {
+	base := BenchRecord{Name: "cold/x/NullDeref", NsPerOp: 100, EdgesTraversed: 627, PPTAVisits: 237, SummariesComputed: 93}
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*BenchRecord)
+		counter string
+	}{
+		{"edges up", func(r *BenchRecord) { r.EdgesTraversed++ }, "edges_traversed 627 -> 628"},
+		{"edges down", func(r *BenchRecord) { r.EdgesTraversed-- }, "edges_traversed 627 -> 626"},
+		{"ppta down", func(r *BenchRecord) { r.PPTAVisits = 200 }, "ppta_visits 237 -> 200"},
+		{"summaries up", func(r *BenchRecord) { r.SummariesComputed = 94 }, "summaries_computed 93 -> 94"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := base
+			tc.mutate(&cur)
+			path := writeBenchFile(t, BenchFile{
+				Schema:   1,
+				Baseline: &BenchSnapshot{Records: []BenchRecord{base}},
+				Current:  BenchSnapshot{Records: []BenchRecord{cur}},
+			})
+			var buf strings.Builder
+			_, err := CompareBenchFile(&buf, path, 0.2)
+			if err == nil {
+				t.Fatalf("counter mismatch passed the compare:\n%s", buf.String())
+			}
+			if want := "FAIL cold/x/NullDeref: " + tc.counter; !strings.Contains(buf.String(), want) {
+				t.Errorf("output lacks %q:\n%s", want, buf.String())
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
+	"dynsum/internal/intstack"
 )
 
 // This file implements the dynamic-evolution experiment behind
@@ -80,7 +81,7 @@ func WriteEvolve(w io.Writer, opts Options) {
 			queries := ev.DerefsThrough(k)
 			start := time.Now()
 			for _, q := range queries {
-				d.PointsToInto(dst, q.Var) // budget failures count like any query
+				d.Query(nil, dst, q.Var, intstack.Empty) // budget failures count like any query
 			}
 			overlayDur := applyDur + time.Since(start)
 
@@ -92,16 +93,13 @@ func WriteEvolve(w io.Writer, opts Options) {
 			}
 			rd := core.NewDynSum(prefix.G, cfg, nil)
 			for _, q := range queries {
-				rd.PointsToInto(dst, q.Var)
+				rd.Query(nil, dst, q.Var, intstack.Empty)
 			}
 			rebuildDur := time.Since(start)
 			totOverlay += overlayDur
 			totRebuild += rebuildDur
 
 			frac := res.OverlayFraction
-			if ov := d.Overlay(); ov != nil {
-				frac = ov.Fraction()
-			}
 			note := ""
 			if res.Compacted {
 				note = " (compacted)"

@@ -8,6 +8,7 @@ import (
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
+	"dynsum/internal/intstack"
 	"dynsum/internal/openworld"
 	"dynsum/internal/pag"
 )
@@ -227,10 +228,9 @@ func WriteOpenWorld(w io.Writer, opts Options) error {
 }
 
 // OpenWorldBenchProfiles lists the workloads the bench-JSON emitter
-// measures — one whole-method and one leaf-biased deletion per base row at
-// the middle fraction, keeping the snapshot's runtime bounded while both
-// deletion strategies stay on the regression radar.
-var OpenWorldBenchProfiles = []string{"avrora-ow25", "avrora-owleaf25", "luindex-ow25", "luindex-owleaf25"}
+// measures — one per base row at the middle deletion fraction, keeping the
+// snapshot's runtime bounded.
+var OpenWorldBenchProfiles = []string{"avrora-ow25", "luindex-ow25"}
 
 // appendOpenWorldRecords measures the openworld/<bench>/{oracle,blended,
 // specs} trajectory records: one op = a fresh engine answering the full
@@ -260,7 +260,7 @@ func appendOpenWorldRecords(snap *BenchSnapshot, opts Options) {
 					d := mk()
 					for _, v := range queries {
 						dst.Reset()
-						d.PointsToInto(dst, v) // budget failures are part of the workload
+						d.Query(nil, dst, v, intstack.Empty) // budget failures are part of the workload
 					}
 					m := d.Metrics().Snapshot()
 					edges = m.EdgesTraversed

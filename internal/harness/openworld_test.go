@@ -6,7 +6,7 @@ import (
 )
 
 func TestRunOpenWorldTable(t *testing.T) {
-	rows, err := RunOpenWorld(Options{Scale: 0.005, Seed: 1, Benchmarks: []string{"avrora-ow25", "luindex-owleaf25"}})
+	rows, err := RunOpenWorld(Options{Scale: 0.005, Seed: 1, Benchmarks: []string{"avrora-ow25", "luindex-ow25"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func RunParallelSpeedup(opts Options, bench, client string, workerCounts []int) 
 	for _, q := range queries {
 		// Conservative failures count like any other answer: both paths
 		// see the identical query stream.
-		serialEngine.PointsToCtx(q.Var, q.Ctx) //nolint:errcheck
+		serialEngine.Query(nil, core.NewPointsToSet(), q.Var, q.Ctx) //nolint:errcheck
 	}
 	serial := time.Since(start)
 
@@ -65,7 +65,7 @@ func RunParallelSpeedup(opts Options, bench, client string, workerCounts []int) 
 	for _, w := range workerCounts {
 		d := core.NewDynSum(prog.G, opts.config(), nil)
 		start := time.Now()
-		d.BatchPointsTo(queries, w)
+		d.BatchPointsTo(nil, queries, w)
 		elapsed := time.Since(start)
 		speedup := 0.0
 		if elapsed > 0 {

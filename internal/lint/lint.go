@@ -218,9 +218,8 @@ func buildAllowIndex(u *Unit) (*allowIndex, []Diagnostic) {
 // tests on. srcimporter resolves the real packages to these paths both
 // when the tree itself is analysed and when testdata imports them.
 const (
-	pagPath   = "dynsum/internal/pag"
-	corePath  = "dynsum/internal/core"
-	deltaPath = "dynsum/internal/delta"
+	pagPath  = "dynsum/internal/pag"
+	corePath = "dynsum/internal/core"
 )
 
 // isNamed reports whether t (after pointer stripping) is the named type

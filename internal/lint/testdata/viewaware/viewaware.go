@@ -1,6 +1,6 @@
-// Seeded-violation corpus for the viewaware pass: raw adjacency reads
-// in package core. The pass is scoped by package name, so this file
-// declares `package core` and imports the real layers it reads from.
+// Seeded-violation corpus for the viewaware pass: adjacency reads in
+// package core that bypass pag.View. The pass is scoped by package name,
+// so this file declares `package core` and imports the real layers.
 package core
 
 import (
@@ -9,30 +9,32 @@ import (
 )
 
 func rawGraphRead(g *pag.Graph, n pag.NodeID) int {
-	return len(g.LocalOut(n)) // want "raw pag.Graph.LocalOut call"
-}
-
-func rawCondRead(c *pag.Condensation, n pag.NodeID) bool {
-	return c.HasGlobalIn(n) // want "raw pag.Condensation.HasGlobalIn call"
-}
-
-func rawOverlayRead(o *delta.Overlay, n pag.NodeID) []pag.Edge {
-	return o.GlobalIn(n, true) // want "raw delta.Overlay.GlobalIn call"
+	return len(g.LocalOut(n)) // want "dynsum/internal/pag.Graph.LocalOut call"
 }
 
 func rawFlagRead(g *pag.Graph, n pag.NodeID) bool {
-	return g.HasLocalEdges(n) // want "raw pag.Graph.HasLocalEdges call"
+	return g.HasLocalEdges(n) // want "dynsum/internal/pag.Graph.HasLocalEdges call"
 }
 
-// Non-adjacency reads on the same layers are free.
+// localLayer stands for any other adjacency layer a refactor might add.
+type localLayer struct{ g *pag.Graph }
+
+func (l localLayer) GlobalIn(n pag.NodeID) []pag.Edge { return nil }
+
+func layerRead(l localLayer, n pag.NodeID) []pag.Edge {
+	return l.GlobalIn(n) // want "localLayer.GlobalIn call"
+}
+
+// The view is the one sanctioned read path, whichever layer produced it.
+func viewReads(g *pag.Graph, o *delta.Overlay, n pag.NodeID) int {
+	v := g.Condensation().View()
+	return len(v.LocalOut(n)) + len(o.BaseView().GlobalIn(n))
+}
+
+// Non-adjacency reads on the layers are free.
 func structuralReads(g *pag.Graph, c *pag.Condensation, n pag.NodeID) int {
 	if c.Rep(n) != n {
 		return 0
 	}
 	return g.NumNodes() + g.NumEdges()
-}
-
-//lint:allow viewaware exercising the function-level directive
-func allowedAccessor(g *pag.Graph, n pag.NodeID) []pag.Edge {
-	return g.GlobalOut(n)
 }

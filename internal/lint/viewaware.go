@@ -3,27 +3,26 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 )
 
-// viewawarePass enforces the engine's adjacency indirection: code in
-// package core must read graph adjacency through graphView (which
-// resolves base vs condensed vs overlay per query), never by calling the
-// raw accessors on *pag.Graph, *pag.Condensation or *delta.Overlay
-// directly. A raw call silently reads the wrong layer — e.g. base
-// adjacency while an overlay epoch is live — and produces stale
-// points-to sets rather than an error. The graphView accessors
-// themselves are the sanctioned raw-call sites and carry function-level
-// //lint:allow directives.
+// viewawarePass enforces the engine's one read path: in package core,
+// adjacency accessors are called only on *pag.View — the per-epoch view
+// each engine resolves in its mutators — never on *pag.Graph,
+// *pag.Condensation or any other layer. A raw call silently reads the
+// wrong layer (base adjacency while the engine runs condensed, or the
+// frozen arrays while an overlay epoch is live) and produces stale
+// points-to sets rather than an error.
 type viewawarePass struct{}
 
 func (viewawarePass) Name() string { return "viewaware" }
 func (viewawarePass) Doc() string {
-	return "core must read adjacency via graphView, not raw Graph/Condensation/Overlay accessors"
+	return "core must read adjacency only through pag.View"
 }
 
 func (viewawarePass) AppliesTo(pkgName, pkgPath string) bool { return pkgName == "core" }
 
-// adjacencyAccessors is the raw adjacency surface of the three layers.
+// adjacencyAccessors is the adjacency read surface.
 var adjacencyAccessors = map[string]bool{
 	"LocalOut":      true,
 	"GlobalOut":     true,
@@ -47,25 +46,14 @@ func (viewawarePass) Run(u *Unit) []Diagnostic {
 				return true
 			}
 			recv := u.Info.TypeOf(sel.X)
-			if recv == nil {
-				return true
-			}
-			var layer string
-			switch {
-			case isNamed(recv, pagPath, "Graph"):
-				layer = "pag.Graph"
-			case isNamed(recv, pagPath, "Condensation"):
-				layer = "pag.Condensation"
-			case isNamed(recv, deltaPath, "Overlay"):
-				layer = "delta.Overlay"
-			default:
+			if recv == nil || isNamed(recv, pagPath, "View") {
 				return true
 			}
 			out = append(out, Diagnostic{
 				Pos:  u.Fset.Position(call.Pos()),
 				Pass: "viewaware",
-				Message: fmt.Sprintf("raw %s.%s call — core must read adjacency through graphView so base/condensed/overlay resolution stays in one place",
-					layer, sel.Sel.Name),
+				Message: fmt.Sprintf("%s.%s call — core reads adjacency only through pag.View, so the engine's mode and epoch stay in one place",
+					types.TypeString(recv, types.RelativeTo(nil)), sel.Sel.Name),
 			})
 			return true
 		})

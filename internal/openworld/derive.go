@@ -59,9 +59,12 @@ func DeriveSpec(oracle, stripped *pag.Graph, m pag.MethodID) (MethodSpec, error)
 		if oracle.Node(id).Method != m {
 			continue
 		}
-		for _, e := range oracle.LocalOut(id) {
+		for _, e := range oracle.Out(id) {
 			if ms.Blended {
 				break
+			}
+			if !e.Kind.IsLocal() {
+				continue // oracle may be in builder form: read Out, keep locals
 			}
 			sT, sOK := term[e.Src]
 			dT, dOK := term[e.Dst]

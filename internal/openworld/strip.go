@@ -111,7 +111,7 @@ func StripBodies(src *pag.Graph, deleted []pag.MethodID) (*pag.Graph, error) {
 
 // boundaryOf recovers m's formal-parameter nodes (entry-edge targets, in
 // node-ID order) and return node (lowest-ID exit-edge source) from the
-// call-site linkage in g.
+// call-site linkage in g (builder or frozen form).
 func boundaryOf(g *pag.Graph, m pag.MethodID) (formals []pag.NodeID, ret pag.NodeID) {
 	ret = pag.NoNode
 	for n := 0; n < g.NumNodes(); n++ {
@@ -119,14 +119,14 @@ func boundaryOf(g *pag.Graph, m pag.MethodID) (formals []pag.NodeID, ret pag.Nod
 		if g.Node(id).Method != m {
 			continue
 		}
-		for _, e := range g.GlobalIn(id) {
+		for _, e := range g.In(id) {
 			if e.Kind == pag.Entry {
 				formals = append(formals, id)
 				break
 			}
 		}
 		if ret == pag.NoNode {
-			for _, e := range g.GlobalOut(id) {
+			for _, e := range g.Out(id) {
 				if e.Kind == pag.Exit {
 					ret = id
 					break

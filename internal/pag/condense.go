@@ -138,43 +138,6 @@ func (c *Condensation) Trivial() bool { return c.rep == nil }
 // Stats returns the condensation statistics.
 func (c *Condensation) Stats() CondenseStats { return c.stats }
 
-// LocalOut returns the condensed outgoing local edges of representative r
-// (endpoints rep-mapped, intra-SCC assign self-loops removed, duplicates
-// merged). Empty for non-representatives.
-func (c *Condensation) LocalOut(r NodeID) []Edge {
-	return span(c.c.outEdges, c.c.outStart[r], c.c.outSplit[r])
-}
-
-// GlobalOut returns the condensed outgoing global edges of r: the merged,
-// rep-mapped union of every member's global out-edges.
-func (c *Condensation) GlobalOut(r NodeID) []Edge {
-	return span(c.c.outEdges, c.c.outSplit[r], c.c.outStart[r+1])
-}
-
-// LocalIn returns the condensed incoming local edges of r.
-func (c *Condensation) LocalIn(r NodeID) []Edge {
-	return span(c.c.inEdges, c.c.inStart[r], c.c.inSplit[r])
-}
-
-// GlobalIn returns the condensed incoming global edges of r.
-func (c *Condensation) GlobalIn(r NodeID) []Edge {
-	return span(c.c.inEdges, c.c.inSplit[r], c.c.inStart[r+1])
-}
-
-// HasGlobalIn reports whether any member of r's SCC has an incoming
-// global edge — the condensed PPTA S1 frontier condition.
-func (c *Condensation) HasGlobalIn(r NodeID) bool { return c.flags[r]&flagGlobalIn != 0 }
-
-// HasGlobalOut reports whether any member has an outgoing global edge —
-// the condensed S2 frontier condition.
-func (c *Condensation) HasGlobalOut(r NodeID) bool { return c.flags[r]&flagGlobalOut != 0 }
-
-// HasLocalEdges reports whether any member touches a local edge; DYNSUM
-// skips the PPTA for representatives without (paper §4.3).
-func (c *Condensation) HasLocalEdges(r NodeID) bool {
-	return c.flags[r]&(flagLocalIn|flagLocalOut) != 0
-}
-
 // condense builds the overlay for a freshly frozen graph. Called by
 // Freeze with the CSR layout already in place.
 func (g *Graph) condense() *Condensation {

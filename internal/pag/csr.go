@@ -37,16 +37,23 @@ type csr struct {
 	inSplit []int32
 }
 
+// The four partitioned spans of node n — the one read shared by Graph's
+// accessors and View's unpatched nodes.
+func (c *csr) localOut(n NodeID) []Edge  { return span(c.outEdges, c.outStart[n], c.outSplit[n]) }
+func (c *csr) globalOut(n NodeID) []Edge { return span(c.outEdges, c.outSplit[n], c.outStart[n+1]) }
+func (c *csr) localIn(n NodeID) []Edge   { return span(c.inEdges, c.inStart[n], c.inSplit[n]) }
+func (c *csr) globalIn(n NodeID) []Edge  { return span(c.inEdges, c.inSplit[n], c.inStart[n+1]) }
+
 // Freeze converts the graph to the immutable CSR layout and releases the
 // builder-form adjacency and the duplicate-suppression edge set. It is
 // idempotent and must be called only after construction is complete
 // (including any on-the-fly call-graph resolution, which adds entry/exit
 // edges): all mutation of nodes or edges afterwards panics.
 //
-// Engines work on frozen and unfrozen graphs alike — the adjacency
-// accessors present the same partitioned view of both — but the frozen
-// form is what the benchmarks measure: one contiguous allocation per
-// direction, no per-node slice headers, no edge set.
+// Engines read only the frozen form (through View): one contiguous
+// allocation per direction, no per-node slice headers, no edge set. A
+// program that keeps changing afterwards evolves through the delta
+// overlay, not by thawing.
 func (g *Graph) Freeze() {
 	if g.frozen != nil {
 		return
@@ -81,8 +88,7 @@ func (g *Graph) Freeze() {
 	g.edgeSet = nil
 
 	// With the CSR layout in place, collapse assign SCCs into the
-	// condensed overlay (condense.go). Mutable graphs never get one, so
-	// incrementally edited PAGs stay on the exact per-node path.
+	// condensed overlay (condense.go).
 	g.cond = g.condense()
 }
 
@@ -96,7 +102,7 @@ func (g *Graph) Frozen() bool { return g.frozen != nil }
 // the delta path (internal/delta: record the change in a delta.Log and
 // apply it as an epoch overlay — dynsum.ApplyDelta at the facade), which
 // absorbs method-granular changes without thawing or rebuilding the CSR
-// layout. PAGs that need free-form edits should simply skip Freeze.
+// layout. The builder form is for construction only: engines refuse it.
 var ErrFrozen = errors.New("pag: mutation of a frozen graph")
 
 // FrozenError is the panic value of a post-freeze AddNode/AddEdge: it
@@ -116,7 +122,7 @@ func (e *FrozenError) Error() string {
 	if e.Name != "" {
 		msg += " (" + e.Name + ")"
 	}
-	return msg + "; Freeze() made the PAG immutable — evolve it through the delta overlay (internal/delta, dynsum.ApplyDelta) or skip Freeze for free-form incremental edits"
+	return msg + "; Freeze() made the PAG immutable — evolve it through the delta overlay (internal/delta, dynsum.ApplyDelta)"
 }
 
 // Unwrap ties FrozenError to the ErrFrozen sentinel for errors.Is.

@@ -36,24 +36,36 @@ func TestPartitionAccessorsBothForms(t *testing.T) {
 		if freeze {
 			g.Freeze()
 		}
-		// v: out = {assign->w, load->w (local)} + {entry->x (global)}.
-		if got := len(g.LocalOut(v)); got != 2 {
-			t.Errorf("freeze=%v: LocalOut(v) = %d edges, want 2", freeze, got)
-		}
-		if got := len(g.GlobalOut(v)); got != 1 || g.GlobalOut(v)[0].Kind != Entry {
-			t.Errorf("freeze=%v: GlobalOut(v) = %v, want one entry edge", freeze, g.GlobalOut(v))
-		}
-		// w: in = {assign, load (local)} + {exit (global)}.
-		if got := len(g.LocalIn(w)); got != 2 {
-			t.Errorf("freeze=%v: LocalIn(w) = %d edges, want 2", freeze, got)
-		}
-		if got := len(g.GlobalIn(w)); got != 1 || g.GlobalIn(w)[0].Kind != Exit {
-			t.Errorf("freeze=%v: GlobalIn(w) = %v, want one exit edge", freeze, g.GlobalIn(w))
-		}
-		// Concatenation order: locals first.
+		// Both forms keep every node's edges locals-first.
 		out := g.Out(v)
 		if len(out) != 3 || !out[0].Kind.IsLocal() || !out[1].Kind.IsLocal() || out[2].Kind.IsLocal() {
 			t.Errorf("freeze=%v: Out(v) = %v, want locals-first partition", freeze, out)
+		}
+		in := g.In(w)
+		if len(in) != 3 || !in[0].Kind.IsLocal() || !in[1].Kind.IsLocal() || in[2].Kind.IsLocal() {
+			t.Errorf("freeze=%v: In(w) = %v, want locals-first partition", freeze, in)
+		}
+		if !freeze {
+			continue // the partitioned accessors read the frozen layout only
+		}
+		// v: out = {assign->w, load->w (local)} + {entry->x (global)}.
+		if got := len(g.LocalOut(v)); got != 2 {
+			t.Errorf("LocalOut(v) = %d edges, want 2", got)
+		}
+		if got := len(g.GlobalOut(v)); got != 1 || g.GlobalOut(v)[0].Kind != Entry {
+			t.Errorf("GlobalOut(v) = %v, want one entry edge", g.GlobalOut(v))
+		}
+		// w: in = {assign, load (local)} + {exit (global)}.
+		if got := len(g.LocalIn(w)); got != 2 {
+			t.Errorf("LocalIn(w) = %d edges, want 2", got)
+		}
+		if got := len(g.GlobalIn(w)); got != 1 || g.GlobalIn(w)[0].Kind != Exit {
+			t.Errorf("GlobalIn(w) = %v, want one exit edge", g.GlobalIn(w))
+		}
+		// The base View reads the same spans.
+		bv := g.View()
+		if len(bv.LocalOut(v)) != 2 || len(bv.GlobalOut(v)) != 1 || len(bv.LocalIn(w)) != 2 || len(bv.GlobalIn(w)) != 1 {
+			t.Errorf("View spans diverge from the graph's partitioned accessors")
 		}
 	}
 }
@@ -69,7 +81,11 @@ func TestAdjacencyIsAppendSafe(t *testing.T) {
 		if freeze {
 			g.Freeze()
 		}
-		for _, s := range [][]Edge{g.Out(v), g.In(w), g.LocalOut(v), g.GlobalOut(v), g.LocalIn(w), g.GlobalIn(w)} {
+		spans := [][]Edge{g.Out(v), g.In(w)}
+		if freeze {
+			spans = append(spans, g.LocalOut(v), g.GlobalOut(v), g.LocalIn(w), g.GlobalIn(w))
+		}
+		for _, s := range spans {
 			if len(s) == 0 {
 				continue
 			}
@@ -136,7 +152,7 @@ func TestFrozenHasEdgeAndLayout(t *testing.T) {
 	b, v, w := buildSmall(t)
 	g := b.G
 	have := Edge{Src: v, Dst: w, Kind: Assign, Label: NoLabel}
-	haveGlobal := g.GlobalOut(v)[0]
+	haveGlobal := g.Out(v)[2] // the entry edge, after v's two locals
 	mutLayout := g.Layout()
 	if mutLayout.Frozen {
 		t.Error("Layout.Frozen true before Freeze")

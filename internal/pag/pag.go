@@ -191,17 +191,16 @@ const (
 // with a Builder, by decoding a serialised PAG, with the MiniJava frontend,
 // or with the synthetic benchmark generator.
 //
-// A Graph is immutable during analysis by convention: engines only read it.
-// It is therefore safe to share one Graph among concurrently running
-// engines as long as nobody calls Add* methods. Calling Freeze after
-// construction makes that convention mechanical: the adjacency is
-// compacted to a flat CSR layout (see csr.go), the builder bookkeeping is
-// released, and AddNode/AddEdge panic.
+// A Graph is built in a mutable builder form and then frozen: Freeze
+// compacts the adjacency to a flat CSR layout (see csr.go), releases the
+// builder bookkeeping and makes AddNode/AddEdge panic. Engines accept only
+// frozen graphs, so one Graph is safely shared among concurrently running
+// engines.
 //
 // In both representations every node's adjacency is partitioned local
-// edges first, global edges after (outSplit/inSplit record the boundary),
-// so the LocalIn/LocalOut/GlobalIn/GlobalOut accessors return plain
-// subslices and the engines' hot loops run without kind-filter branches.
+// edges first, global edges after (outSplit/inSplit record the boundary).
+// The partitioned accessors LocalIn/LocalOut/GlobalIn/GlobalOut read the
+// frozen layout; engines read it through View (view.go).
 type Graph struct {
 	nodes []Node
 
@@ -305,42 +304,29 @@ func (g *Graph) In(n NodeID) []Edge {
 	return s[:len(s):len(s)]
 }
 
-// LocalOut returns the outgoing local (new/assign/load/store) edges of n —
-// the PPTA's S2 iteration domain — as a read-only subslice, with no
-// filtering at call time.
-func (g *Graph) LocalOut(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.outEdges, f.outStart[n], f.outSplit[n])
-	}
-	return span(g.out[n], 0, g.outSplit[n])
-}
+// LocalOut returns the outgoing local (new/assign/load/store) edges of n
+// as a read-only subslice of the frozen layout. The partitioned accessors
+// read the CSR form only: on a builder-form graph they panic (engines
+// read through View; builder-form readers use Out/In).
+func (g *Graph) LocalOut(n NodeID) []Edge { return g.layout().localOut(n) }
 
 // GlobalOut returns the outgoing global (assignglobal/entry/exit) edges of
-// n — the Algorithm 4 driver's S2 iteration domain — as a read-only
-// subslice.
-func (g *Graph) GlobalOut(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.outEdges, f.outSplit[n], f.outStart[n+1])
-	}
-	return span(g.out[n], g.outSplit[n], int32(len(g.out[n])))
-}
+// n as a read-only subslice of the frozen layout.
+func (g *Graph) GlobalOut(n NodeID) []Edge { return g.layout().globalOut(n) }
 
-// LocalIn returns the incoming local edges of n — the PPTA's S1 iteration
-// domain — as a read-only subslice.
-func (g *Graph) LocalIn(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.inEdges, f.inStart[n], f.inSplit[n])
-	}
-	return span(g.in[n], 0, g.inSplit[n])
-}
+// LocalIn returns the incoming local edges of n (frozen graphs only).
+func (g *Graph) LocalIn(n NodeID) []Edge { return g.layout().localIn(n) }
 
-// GlobalIn returns the incoming global edges of n — the Algorithm 4
-// driver's S1 iteration domain — as a read-only subslice.
-func (g *Graph) GlobalIn(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.inEdges, f.inSplit[n], f.inStart[n+1])
+// GlobalIn returns the incoming global edges of n (frozen graphs only).
+func (g *Graph) GlobalIn(n NodeID) []Edge { return g.layout().globalIn(n) }
+
+// layout returns the frozen CSR layout, panicking with the fix on a
+// builder-form graph.
+func (g *Graph) layout() *csr {
+	if g.frozen == nil {
+		panic("pag: partitioned adjacency needs a frozen graph; call Graph.Freeze (or Builder.Finish) first, or read Out/In")
 	}
-	return span(g.in[n], g.inSplit[n], int32(len(g.in[n])))
+	return g.frozen
 }
 
 // span carves the capacity-clamped subslice edges[i:j] out of a flat edge

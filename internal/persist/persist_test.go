@@ -20,7 +20,6 @@ var bigBudget = core.Config{Budget: 150_000}
 // attached, so every snapshot section is non-trivially exercised.
 func frozenProgram(seed int64) *pag.Program {
 	prog := fixture.RandProgram(seed, fixture.RandConfig{}.Defaults())
-	prog.G.Freeze()
 	locals := fixture.AllLocals(prog)
 	for i, v := range locals {
 		switch i % 3 {
@@ -279,7 +278,7 @@ func TestCompactRotatesJournal(t *testing.T) {
 	if st.Epoch() != wantEpoch {
 		t.Fatalf("Compact moved the epoch to %d", st.Epoch())
 	}
-	if st.Engine().Overlay() != nil {
+	if st.Engine().Overlay().Epoch() != 0 {
 		t.Fatal("Compact left the overlay live")
 	}
 

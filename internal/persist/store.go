@@ -17,15 +17,12 @@ import (
 type Options struct {
 	// Sync selects the journal's fsync policy (default SyncAlways).
 	Sync journal.SyncPolicy
-	// Config is the engine configuration. Replay determinism: reopen with
-	// the same Config the store appended under, or auto-compaction
-	// thresholds may replay differently (harmless for answers, but the
-	// engine's compaction count will differ from the dead process's).
+	// Config is the engine configuration, ablation toggles included.
+	// Replay determinism: reopen with the same Config the store appended
+	// under, or auto-compaction thresholds may replay differently
+	// (harmless for answers, but the engine's compaction count will differ
+	// from the dead process's).
 	Config core.Config
-	// DisableCache / DisableCondense carry the engine ablation toggles
-	// through a reopen.
-	DisableCache    bool
-	DisableCondense bool
 	// SkipSummaries leaves the summary cache out of snapshots written by
 	// Compact, trading warm-start time for snapshot size.
 	SkipSummaries bool
@@ -89,7 +86,7 @@ func Create(dir string, prog *pag.Program, opts Options) (*Store, error) {
 		}
 	}
 	s := &Store{dir: dir, opts: opts, prog: prog, jr: jr}
-	s.eng = s.newEngine(prog.G)
+	s.eng = core.NewDynSum(prog.G, s.opts.Config, s.opts.Ctxs)
 	return s, nil
 }
 
@@ -119,7 +116,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	prog.Factories = snap.factories
 
 	s := &Store{dir: dir, opts: opts, prog: prog, epoch: snap.epoch}
-	s.eng = s.newEngine(g)
+	s.eng = core.NewDynSum(g, s.opts.Config, s.opts.Ctxs)
 	if err := s.eng.ImportSummaries(snap.cache); err != nil {
 		return nil, corruptSection("cache", err)
 	}
@@ -187,7 +184,7 @@ func (s *Store) Append(l *delta.Log) (core.DeltaResult, error) {
 // rename but before the reset, the stale journal records carry epochs at
 // or below the new snapshot's and are skipped.
 func (s *Store) Compact() error {
-	if s.eng.Overlay() != nil {
+	if s.eng.Overlay().Epoch() > 0 {
 		if err := s.eng.Compact(); err != nil {
 			return err
 		}
@@ -277,11 +274,4 @@ func checkSites(s *snapshot, g *pag.Graph) error {
 		}
 	}
 	return nil
-}
-
-func (s *Store) newEngine(g *pag.Graph) *core.DynSum {
-	eng := core.NewDynSum(g, s.opts.Config, s.opts.Ctxs)
-	eng.DisableCache = s.opts.DisableCache
-	eng.DisableCondense = s.opts.DisableCondense
-	return eng
 }

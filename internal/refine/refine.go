@@ -137,6 +137,7 @@ func NewNoRefine(g *pag.Graph, cfg core.Config, ctxs *intstack.Table) *Engine {
 }
 
 func newEngine(g *pag.Graph, cfg core.Config, ctxs *intstack.Table, refineAll, cache bool, name string) *Engine {
+	core.RequireFrozen(name, g)
 	if ctxs == nil {
 		ctxs = new(intstack.Table)
 	}

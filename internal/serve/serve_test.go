@@ -12,6 +12,7 @@ import (
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
 	"dynsum/internal/intstack"
+	"dynsum/internal/pag"
 	"dynsum/internal/persist"
 )
 
@@ -121,7 +122,7 @@ func TestServedAnswersMatchOracle(t *testing.T) {
 				if r.Err != nil {
 					t.Fatalf("epoch %d query %d: %v", epoch, i, r.Err)
 				}
-				want, werr := oracle.PointsToCtx(r.Var, r.Ctx)
+				want, werr := queryIn(nil, oracle, r.Var, r.Ctx)
 				if werr != nil {
 					t.Fatalf("epoch %d oracle var %d: %v", epoch, r.Var, werr)
 				}
@@ -140,8 +141,17 @@ func TestServedAnswersMatchOracle(t *testing.T) {
 func TestOverloadShedsTyped(t *testing.T) {
 	ev := testEvolve(t, 1)
 	srv := newTestServer(t, ev, Config{Workers: 1, QueueDepth: 2})
-	if _, err := srv.CreateSession("s1", "tenant-a"); err != nil {
+	sess, err := srv.CreateSession("s1", "tenant-a")
+	if err != nil {
 		t.Fatal(err)
+	}
+	gate, wedgedIn, firstShed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var wedgeOnce sync.Once
+	sess.Engine().Tracer = func(core.TraceEvent) {
+		wedgeOnce.Do(func() {
+			close(wedgedIn)
+			<-gate
+		})
 	}
 	queries := queryVars(ev, 0)
 	if len(queries) < 4 {
@@ -155,22 +165,41 @@ func TestOverloadShedsTyped(t *testing.T) {
 		mu        sync.Mutex
 		responses []*Response
 		refusals  []error
+		shedOnce  sync.Once
 	)
+	record := func(resp *Response, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			refusals = append(refusals, err)
+			shedOnce.Do(func() { close(firstShed) })
+			return
+		}
+		responses = append(responses, resp)
+	}
+	// Wedge the whale lane's worker on a cold request before the burst,
+	// so the overload does not depend on how fast the worker drains the
+	// queue while the clients start: the burst meets a full queue, and
+	// the gate opens once the first refusal is in.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		record(srv.Do(context.Background(), Request{Session: "s1", Queries: queries[:1]}))
+	}()
+	<-wedgedIn
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			q := queries[c%len(queries) : c%len(queries)+1]
-			resp, err := srv.Do(context.Background(), Request{Session: "s1", Queries: q})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				refusals = append(refusals, err)
-				return
-			}
-			responses = append(responses, resp)
+			record(srv.Do(context.Background(), Request{Session: "s1", Queries: q}))
 		}(c)
 	}
+	select {
+	case <-firstShed:
+	case <-time.After(10 * time.Second):
+	}
+	close(gate)
 	wg.Wait()
 
 	if len(refusals) == 0 {
@@ -190,7 +219,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("admitted query failed: %v", r.Err)
 			}
-			want, werr := oracle.PointsToCtx(r.Var, r.Ctx)
+			want, werr := queryIn(nil, oracle, r.Var, r.Ctx)
 			if werr != nil {
 				t.Fatal(werr)
 			}
@@ -261,7 +290,7 @@ func TestCheapLaneFlowsBesideWhales(t *testing.T) {
 	// so driving the engine outside the session lock is safe here).
 	cheapQ := queries[:3]
 	for _, q := range cheapQ {
-		if _, err := cheapSess.Engine().PointsToCtx(q.Var, q.Ctx); err != nil {
+		if _, err := queryIn(nil, cheapSess.Engine(), q.Var, q.Ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -562,11 +591,11 @@ func TestDrainPersistsAndRecovers(t *testing.T) {
 			t.Fatalf("recovered %s: %v", sess.ID, err)
 		}
 		for _, q := range queryVars(ev, int(sess.Epoch())) {
-			want, err := sess.Engine().PointsToCtx(q.Var, q.Ctx)
+			want, err := queryIn(nil, sess.Engine(), q.Var, q.Ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := st.Engine().PointsToCtx(q.Var, q.Ctx)
+			got, err := queryIn(nil, st.Engine(), q.Var, q.Ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -708,4 +737,12 @@ func TestSessionRegistry(t *testing.T) {
 	if !errors.As(err, &ue) || ue.ID != "ghost" {
 		t.Fatalf("unknown session: err = %v, want *UnknownSessionError{ghost}", err)
 	}
+}
+
+// queryIn answers one query on d into a fresh set (the allocating form of
+// DynSum.Query).
+func queryIn(ctx context.Context, d *core.DynSum, v pag.NodeID, cc intstack.ID) (*core.PointsToSet, error) {
+	pts := core.NewPointsToSet()
+	err := d.Query(ctx, pts, v, cc)
+	return pts, err
 }

@@ -434,7 +434,7 @@ func (s *Server) run(l *lane, r *request) {
 	s.inflight.arm(r, cancel)
 	started := s.now()
 	r.sess.mu.RLock()
-	results := r.sess.eng.BatchPointsToCtx(ctx, r.queries, 1)
+	results := r.sess.eng.BatchPointsTo(ctx, r.queries, 1)
 	r.sess.mu.RUnlock()
 	cancel(nil)
 	ok := s.complete(r, &Response{

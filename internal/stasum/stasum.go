@@ -56,8 +56,9 @@ type Engine struct {
 	// 32-bit platforms only guarantee at the start of an allocated struct.
 	metrics core.Metrics
 
-	g   *pag.Graph
-	cfg core.Config
+	g    *pag.Graph
+	view *pag.View // g's base adjacency, the driver's read path
+	cfg  core.Config
 
 	fields *intstack.Table // δ stacks and query-time concrete stacks
 	gammas *intstack.Table // interned γ sequences (visited-set keys)
@@ -112,11 +113,13 @@ func WithMaxOfflineVisits(n int) Option {
 // New builds the engine and runs the offline summary pass over every
 // method of g. ctxs may be nil or shared with other engines.
 func New(g *pag.Graph, cfg core.Config, ctxs *intstack.Table, opts ...Option) *Engine {
+	core.RequireFrozen("STASUM", g)
 	if ctxs == nil {
 		ctxs = new(intstack.Table)
 	}
 	e := &Engine{
 		g:         g,
+		view:      g.View(),
 		cfg:       cfg.WithDefaults(),
 		fields:    new(intstack.Table),
 		gammas:    new(intstack.Table),
@@ -335,7 +338,7 @@ func (e *Engine) PointsTo(v pag.NodeID) (*core.PointsToSet, error) {
 func (e *Engine) PointsToCtx(v pag.NodeID, ctx intstack.ID) (*core.PointsToSet, error) {
 	atomic.AddInt64(&e.metrics.Queries, 1)
 	bud := core.NewBudget(e.cfg.Budget)
-	return core.RunDriver(e.g, nil, e.ctxs, e.cfg, (*staSummarizer)(e), v, ctx, bud, &e.metrics, nil)
+	return core.RunDriver(e.view, e.ctxs, e.cfg, (*staSummarizer)(e), v, ctx, bud, &e.metrics, nil)
 }
 
 type staSummarizer Engine

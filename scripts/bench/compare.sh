@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # compare.sh — compare a benchmark snapshot's current section against its
-# baseline section and warn on regressions beyond the tolerance ratio.
-# Exits non-zero only on I/O or schema errors; regressions print warnings
-# so CI logs surface them without hard-failing exploratory branches.
+# baseline section. The deterministic work counters (edges_traversed,
+# ppta_visits, summaries_computed) must match exactly: any difference, in
+# either direction, exits non-zero (multi-worker batch records are exempt,
+# being schedule-dependent). Wall clock is advisory: ns/op regressions
+# beyond the tolerance ratio print warnings only. I/O and schema errors
+# also exit non-zero.
 #
 # Usage: scripts/bench/compare.sh [snapshot.json] [tolerance]
-#   tolerance defaults to 0.2 (20%); also settable via $TOLERANCE.
+#   tolerance (wall clock only) defaults to 0.2 (20%); also settable via
+#   $TOLERANCE.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/../.." && pwd)"
